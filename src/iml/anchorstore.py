@@ -11,12 +11,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_text_atomic
 from .model import AnchorSet, BackboneConfig, ModelSnapshot, ParamStore, SnapshotMeta, embed
 
 SNAPSHOT_VERSION = 1
@@ -54,7 +53,6 @@ def snapshot_digest(snapshot: ModelSnapshot) -> str:
 
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
-    path = Path(path)
     payload = _payload(snapshot)
     doc = {
         "format": "imlsnap",
@@ -76,9 +74,7 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload": base64.b64encode(payload).decode("ascii"),
     }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
 def load_snapshot(path) -> ModelSnapshot:

@@ -9,7 +9,7 @@ order and :meth:`Tape.backward` is one reverse sweep.
 
 Each primitive op is a (forward, vjp) pair of pure functions registered
 in ``_OPS``; nodes store only the op name, input ids, saved output and
-static auxiliary data, which keeps the tape replayable.
+static auxiliary data.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class OpSpec:
 
 
 class Tape:
-    """Append-only record of primitive ops; differentiable and replayable."""
+    """Append-only record of primitive ops, differentiated by one reverse sweep."""
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -140,19 +140,6 @@ class Tape:
             for pid in params
         }
 
-    def replay(self) -> bool:
-        """Recompute every node from its terminals; True iff all values match bit-for-bit."""
-        values: list[Array] = []
-        ok = True
-        for node in self.nodes:
-            if node.op in ("leaf", "const"):
-                values.append(node.value)
-                continue
-            out = _OPS[node.op].fwd([values[i] for i in node.inputs], node.aux)
-            ok = ok and np.array_equal(out, node.value)
-            values.append(out)
-        return ok
-
 
 def _apply(op: str, tensors: Sequence[Tensor], aux: tuple = ()) -> Tensor:
     tape: Tape | None = None
@@ -209,14 +196,6 @@ def _fwd_mul(v, aux):
     return v[0] * v[1]
 
 
-def _fwd_adds(v, aux):
-    return v[0] + aux[0]
-
-
-def _fwd_subs(v, aux):
-    return v[0] - aux[0]
-
-
 def _fwd_scale(v, aux):
     return v[0] * aux[0]
 
@@ -253,20 +232,6 @@ def _vjp_pairsq(v, aux, out, g):
     return [gz, gc]
 
 
-def _fwd_lse(v, aux):
-    (x,) = v
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValueError("logsumexp: need a non-empty 1-D input")
-    m = x.max()
-    return np.asarray(m + np.log(np.exp(x - m).sum()))
-
-
-def _vjp_lse(v, aux, out, g):
-    (x,) = v
-    e = np.exp(x - x.max())
-    return [g * (e / e.sum())]
-
-
 def _fwd_lse_rows(v, aux):
     (x,) = v
     if x.ndim != 2 or x.shape[1] == 0:
@@ -281,26 +246,9 @@ def _vjp_lse_rows(v, aux, out, g):
     return [g[:, None] * (e / e.sum(axis=1, keepdims=True))]
 
 
-def _check_temperature(aux):
+def _fwd_softmax_rows(v, aux):
     if aux[0] <= 0.0:
         raise ValueError(f"temperature must be positive, got {aux[0]}")
-
-
-def _fwd_softmax(v, aux):
-    _check_temperature(aux)
-    (x,) = v
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValueError("softmax: need a non-empty 1-D input")
-    e = np.exp((x - x.max()) / aux[0])
-    return e / e.sum()
-
-
-def _vjp_softmax(v, aux, out, g):
-    return [(out * (g - (g * out).sum())) / aux[0]]
-
-
-def _fwd_softmax_rows(v, aux):
-    _check_temperature(aux)
     (x,) = v
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("softmax_rows: need a 2-D input with columns")
@@ -312,52 +260,23 @@ def _vjp_softmax_rows(v, aux, out, g):
     return [(out * (g - (g * out).sum(axis=1, keepdims=True))) / aux[0]]
 
 
-def _kl_terms(p: Array, q: Array, op: str) -> Array:
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError(f"{op}: distributions must be non-negative")
-    pos = p > 0.0
-    if np.any(pos & (q == 0.0)):
-        raise ValueError(f"{op}: q has zero mass where p is positive")
-    terms = np.zeros_like(p)
-    # 0 * log 0 taken as 0.
-    terms[pos] = p[pos] * np.log(p[pos] / q[pos])
-    return terms
-
-
-def _check_normalized(x: Array, axis, op: str) -> None:
-    sums = x.sum(axis=axis)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError(f"{op}: inputs must sum to 1 along the class axis")
-
-
-def _fwd_kl(v, aux):
-    p, q = v
-    _need_same_shape(p, q, "kl_div")
-    if p.ndim != 1 or p.shape[0] == 0:
-        raise ValueError("kl_div: need non-empty 1-D distributions")
-    _check_normalized(p, None, "kl_div")
-    _check_normalized(q, None, "kl_div")
-    return np.asarray(_kl_terms(p, q, "kl_div").sum())
-
-
 def _fwd_kl_rows(v, aux):
     p, q = v
     _need_same_shape(p, q, "kl_div_rows")
     if p.ndim != 2 or p.shape[1] == 0:
         raise ValueError("kl_div_rows: need 2-D row distributions")
-    _check_normalized(p, 1, "kl_div_rows")
-    _check_normalized(q, 1, "kl_div_rows")
-    return _kl_terms(p, q, "kl_div_rows").sum(axis=1)
-
-
-def _vjp_kl(v, aux, out, g):
-    p, q = v
+    for x in (p, q):
+        if np.any(np.abs(x.sum(axis=1) - 1.0) > 1e-6):
+            raise ValueError("kl_div_rows: inputs must sum to 1 along the class axis")
+    if np.any(p < 0.0) or np.any(q < 0.0):
+        raise ValueError("kl_div_rows: distributions must be non-negative")
     pos = p > 0.0
-    gp = np.zeros_like(p)
-    gq = np.zeros_like(q)
-    gp[pos] = (np.log(p[pos] / q[pos]) + 1.0) * g
-    gq[pos] = -(p[pos] / q[pos]) * g
-    return [gp, gq]
+    if np.any(pos & (q == 0.0)):
+        raise ValueError("kl_div_rows: q has zero mass where p is positive")
+    terms = np.zeros_like(p)
+    # 0 * log 0 taken as 0.
+    terms[pos] = p[pos] * np.log(p[pos] / q[pos])
+    return terms.sum(axis=1)
 
 
 def _vjp_kl_rows(v, aux, out, g):
@@ -436,17 +355,12 @@ _OPS: dict[str, OpSpec] = {
     "add": OpSpec(_fwd_add, lambda v, aux, out, g: [g, g]),
     "sub": OpSpec(_fwd_sub, lambda v, aux, out, g: [g, -g]),
     "mul": OpSpec(_fwd_mul, lambda v, aux, out, g: [g * v[1], g * v[0]]),
-    "adds": OpSpec(_fwd_adds, lambda v, aux, out, g: [g]),
-    "subs": OpSpec(_fwd_subs, lambda v, aux, out, g: [g]),
     "scale": OpSpec(_fwd_scale, lambda v, aux, out, g: [g * aux[0]]),
     "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, g: [g, g.sum(axis=0)]),
     "relu": OpSpec(_fwd_relu, _vjp_relu),
     "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq),
-    "logsumexp": OpSpec(_fwd_lse, _vjp_lse),
     "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows),
-    "softmax": OpSpec(_fwd_softmax, _vjp_softmax),
     "softmax_rows": OpSpec(_fwd_softmax_rows, _vjp_softmax_rows),
-    "kl_div": OpSpec(_fwd_kl, _vjp_kl),
     "kl_div_rows": OpSpec(_fwd_kl_rows, _vjp_kl_rows),
     "take_per_row": OpSpec(_fwd_rowsel, _vjp_rowsel),
     "class_means": OpSpec(_fwd_cmeans, _vjp_cmeans),
@@ -464,20 +378,14 @@ def matmul(a, b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    if isinstance(b, numbers.Real):
-        return _apply("adds", (as_tensor(a),), (float(b),))
     return _apply("add", (as_tensor(a), as_tensor(b)))
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, numbers.Real):
-        return _apply("subs", (as_tensor(a),), (float(b),))
     return _apply("sub", (as_tensor(a), as_tensor(b)))
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(b, numbers.Real):
-        return scale(a, b)
     return _apply("mul", (as_tensor(a), as_tensor(b)))
 
 
@@ -485,14 +393,6 @@ def scale(a, s) -> Tensor:
     if not isinstance(s, numbers.Real):
         raise ValueError("scale expects a python scalar factor")
     return _apply("scale", (as_tensor(a),), (float(s),))
-
-
-def elementwise(kind: str, a, b) -> Tensor:
-    """Dispatch add|sub|mul|scale; ``b`` may be a tensor or a scalar."""
-    ops = {"add": add, "sub": sub, "mul": mul, "scale": scale}
-    if kind not in ops:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return ops[kind](a, b)
 
 
 def relu(x) -> Tensor:
@@ -509,27 +409,12 @@ def pairwise_sqdist(z, c) -> Tensor:
     return _apply("pairwise_sqdist", (as_tensor(z), as_tensor(c)))
 
 
-def logsumexp(v) -> Tensor:
-    """Max-shifted log-sum-exp of a 1-D vector."""
-    return _apply("logsumexp", (as_tensor(v),))
-
-
 def logsumexp_rows(m) -> Tensor:
     return _apply("logsumexp_rows", (as_tensor(m),))
 
 
-def softmax(v, temperature: float = 1.0) -> Tensor:
-    """Tempered softmax of a 1-D vector, computed max-shifted."""
-    return _apply("softmax", (as_tensor(v),), (float(temperature),))
-
-
 def softmax_rows(m, temperature: float = 1.0) -> Tensor:
     return _apply("softmax_rows", (as_tensor(m),), (float(temperature),))
-
-
-def kl_div(p, q) -> Tensor:
-    """KL(p || q) between two 1-D distributions; 0*log 0 contributes 0."""
-    return _apply("kl_div", (as_tensor(p), as_tensor(q)))
 
 
 def kl_div_rows(p, q) -> Tensor:

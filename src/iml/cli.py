@@ -14,7 +14,9 @@ import os
 import sys
 import configparser
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .anchorstore import (
 from .data import (
     Dataset,
     DatasetFormatError,
-    EpisodeSpec,
     SyntheticSpec,
     concat_datasets,
     gen_synthetic,
@@ -35,6 +36,7 @@ from .data import (
     reserve_exemplars,
     save_dataset,
     uniform_offset,
+    write_text_atomic,
 )
 from .evaluator import (
     CSV_HEADER,
@@ -58,9 +60,10 @@ from .trainer import (
 METHOD_ORDER = ["nu", "ft", "dfa", "eiml", "ida", "par"]
 SPLIT_ORDER = ["old", "new", "unseen"]
 
+# Defaults a profile puts in place of RunConfig()'s; desk is RunConfig() itself.
 _PROFILES = {
-    "desk": {"epochs": 30, "tasks_per_epoch": 100, "n_episodes": 500},
-    "paper-scale": {"epochs": 200, "tasks_per_epoch": 800, "n_episodes": 2000},
+    "desk": {},
+    "paper-scale": {"train.epochs": 200, "train.tasks_per_epoch": 800, "eval.n_episodes": 2000},
 }
 
 # Which test table each evaluation split reads, and which table each role labels.
@@ -117,91 +120,117 @@ class RunConfig:
     output_dir: str = "run"
 
 
-def _conv_int(raw: str) -> int:
-    return int(raw)
-
-
-def _conv_float(raw: str) -> float:
-    return float(raw)
-
-
-def _conv_str(raw: str) -> str:
+def _text(raw: str) -> str:
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         raw = raw[1:-1]
     return raw
 
 
-def _conv_opt_int(raw: str) -> int | None:
-    raw = raw.strip()
-    return None if raw == "" else int(raw)
+def _optional(conv: Callable[[str], object]) -> Callable[[str], object]:
+    """An empty value parses to None."""
+    return lambda raw: None if raw.strip() == "" else conv(raw)
 
 
-def _conv_opt_float(raw: str) -> float | None:
-    raw = raw.strip()
-    return None if raw == "" else float(raw)
+def _list(conv: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Comma-separated values."""
+    return lambda raw: tuple(conv(p) for p in raw.replace(" ", "").split(",") if p)
 
 
-def _conv_ints(raw: str) -> tuple[int, ...]:
-    parts = [p for p in raw.replace(" ", "").split(",") if p]
-    return tuple(int(p) for p in parts)
+# Range rules: (predicate, what it demands, for the error message).
+_Rule = tuple[Callable[[object], bool], str]
+_AT_LEAST_1: _Rule = (lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE: _Rule = (lambda v: v >= 0, "non-negative")
+_POSITIVE: _Rule = (lambda v: v > 0, "positive")
 
 
-def _conv_floats(raw: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(" ", "").split(",") if p]
-    return tuple(float(p) for p in parts)
+def _one_of(choices) -> _Rule:
+    return (lambda v: v in choices), f"one of {list(choices)}"
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "data": {
-        "kind": _conv_str,
-        "train_classes_per_domain": _conv_int,
-        "unseen_classes_per_domain": _conv_int,
-        "dim": _conv_int,
-        "cluster_std": _conv_float,
-        "offset_magnitude": _conv_float,
-        "samples_per_class": _conv_int,
-        "old_train": _conv_str,
-        "new_train": _conv_str,
-        "old_val": _conv_str,
-        "new_val": _conv_str,
-        "old_test": _conv_str,
-        "new_test": _conv_str,
-        "unseen_test": _conv_str,
-    },
-    "train": {
-        "ways": _conv_int,
-        "shots": _conv_int,
-        "queries": _conv_int,
-        "epochs": _conv_int,
-        "tasks_per_epoch": _conv_int,
-        "lambda": _conv_float,
-        "lambda_old": _conv_opt_float,
-        "lambda_new": _conv_opt_float,
-        "temperature": _conv_float,
-        "lr": _conv_float,
-        "lr_decay": _conv_float,
-        "patience": _conv_int,
-        "seed": _conv_int,
-        "val_episodes": _conv_int,
-        "exemplars_per_class": _conv_int,
-        "anchors_per_step": _conv_opt_int,
-        "kl_order": _conv_str,
-        "hidden_dims": _conv_ints,
-        "embed_dim": _conv_int,
-        "profile": _conv_str,
-        "rounds": _conv_int,
-    },
-    "eval": {
-        "n_episodes": _conv_int,
-        "seed": _conv_int,
-        "workers": _conv_int,
-        "lambda_grid": _conv_floats,
-        "exemplar_grid": _conv_ints,
-        "ways_grid": _conv_ints,
-        "shots_grid": _conv_ints,
-    },
-}
+def _each(rule: _Rule) -> _Rule:
+    ok, need = rule
+    return (lambda v: all(ok(x) for x in v)), f"{need} in every entry"
+
+
+class _Setting(NamedTuple):
+    """One config key: how its text parses, its range rule, and where it lands."""
+
+    name: str  # section.key as written in a config file
+    parse: Callable[[str], object]
+    rule: _Rule | None = None  # not applied to None, the empty optional value
+    dest: str = ""  # dotted RunConfig attribute, when it is not ``name``
+
+    @property
+    def section(self) -> str:
+        return self.name.split(".")[0]
+
+    @property
+    def key(self) -> str:
+        return self.name.split(".")[1]
+
+    @property
+    def attr(self) -> str:
+        return self.dest or self.name
+
+
+# Every config key, in config.resolved order; defaults come from RunConfig().
+_SETTINGS = (
+    _Setting("data.kind", _text, _one_of(("synthetic", "csv"))),
+    _Setting("data.train_classes_per_domain", int, _AT_LEAST_1),
+    _Setting("data.unseen_classes_per_domain", int, _NON_NEGATIVE),
+    _Setting("data.dim", int, _AT_LEAST_1),
+    _Setting("data.cluster_std", float, _NON_NEGATIVE),
+    _Setting("data.offset_magnitude", float),
+    _Setting("data.samples_per_class", int, _AT_LEAST_1),
+    _Setting("data.old_train", _text),
+    _Setting("data.new_train", _text),
+    _Setting("data.old_val", _text),
+    _Setting("data.new_val", _text),
+    _Setting("data.old_test", _text),
+    _Setting("data.new_test", _text),
+    _Setting("data.unseen_test", _text),
+    _Setting("train.ways", int, (lambda v: v >= 2, "at least 2"), "train.episode.ways"),
+    _Setting("train.shots", int, _AT_LEAST_1, "train.episode.shots"),
+    _Setting("train.queries", int, _AT_LEAST_1, "train.episode.queries"),
+    _Setting("train.epochs", int, _AT_LEAST_1),
+    _Setting("train.tasks_per_epoch", int, _AT_LEAST_1),
+    _Setting("train.lambda", float, _NON_NEGATIVE, "train.lam"),
+    _Setting("train.lambda_old", _optional(float), _NON_NEGATIVE, "train.lam_old"),
+    _Setting("train.lambda_new", _optional(float), _NON_NEGATIVE, "train.lam_new"),
+    _Setting("train.temperature", float, _POSITIVE),
+    _Setting("train.lr", float, _POSITIVE),
+    _Setting("train.lr_decay", float, (lambda v: 0 < v <= 1, "in (0, 1]")),
+    _Setting("train.patience", int, _NON_NEGATIVE),
+    _Setting("train.seed", int),
+    _Setting("train.val_episodes", int, _AT_LEAST_1),
+    _Setting("train.exemplars_per_class", int, _AT_LEAST_1),
+    _Setting("train.anchors_per_step", _optional(int), _AT_LEAST_1),
+    _Setting("train.kl_order", _text, _one_of(KL_ORDERS)),
+    _Setting("train.hidden_dims", _list(int), _each(_AT_LEAST_1), "hidden_dims"),
+    _Setting("train.embed_dim", int, _AT_LEAST_1, "embed_dim"),
+    _Setting("train.profile", _text, _one_of(_PROFILES), "profile"),
+    _Setting("train.rounds", int, _AT_LEAST_1, "rounds"),
+    _Setting("eval.n_episodes", int, (lambda v: v >= 2, "at least 2")),
+    _Setting("eval.seed", int),
+    _Setting("eval.workers", int, _AT_LEAST_1),
+    _Setting("eval.lambda_grid", _list(float), _each(_NON_NEGATIVE)),
+    _Setting("eval.exemplar_grid", _list(int), _each(_AT_LEAST_1)),
+    _Setting("eval.ways_grid", _list(int)),
+    _Setting("eval.shots_grid", _list(int)),
+)
+
+
+def _get(obj, attr: str):
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _with(obj, attr: str, value):
+    """Copy of a nested frozen dataclass with one dotted attribute replaced."""
+    head, _, rest = attr.partition(".")
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value) if rest else value})
 
 
 def parse_config(
@@ -232,163 +261,39 @@ def parse_config(
             cp.add_section(sec)
         cp.set(sec, key, value.strip())
 
+    sections, names = {s.section for s in _SETTINGS}, {s.name for s in _SETTINGS}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in sections:
             raise ConfigError(f"unknown config section [{sec}]")
         for key in cp[sec]:
-            if key not in _SCHEMA[sec]:
+            if f"{sec}.{key}" not in names:
                 raise ConfigError(f"unknown config key {sec}.{key}")
 
-    explicit: set[tuple[str, str]] = set()
-
-    def get(sec: str, key: str, default):
-        if cp.has_option(sec, key):
-            explicit.add((sec, key))
-            raw = cp.get(sec, key)
-            try:
-                return _SCHEMA[sec][key](raw)
-            except ValueError as e:
-                raise ConfigError(f"{sec}.{key}: cannot parse {raw!r} ({e})") from e
-        return default
-
-    profile = get("train", "profile", "desk")
-    if profile not in _PROFILES:
-        raise ConfigError(
-            f"train.profile must be one of {sorted(_PROFILES)}, got {profile!r}"
-        )
-    prof = _PROFILES[profile]
-
-    dd = DataConfig()
-    data = DataConfig(
-        kind=get("data", "kind", dd.kind),
-        train_classes_per_domain=get("data", "train_classes_per_domain", dd.train_classes_per_domain),
-        unseen_classes_per_domain=get("data", "unseen_classes_per_domain", dd.unseen_classes_per_domain),
-        dim=get("data", "dim", dd.dim),
-        cluster_std=get("data", "cluster_std", dd.cluster_std),
-        offset_magnitude=get("data", "offset_magnitude", dd.offset_magnitude),
-        samples_per_class=get("data", "samples_per_class", dd.samples_per_class),
-        old_train=get("data", "old_train", ""),
-        new_train=get("data", "new_train", ""),
-        old_val=get("data", "old_val", ""),
-        new_val=get("data", "new_val", ""),
-        old_test=get("data", "old_test", ""),
-        new_test=get("data", "new_test", ""),
-        unseen_test=get("data", "unseen_test", ""),
-    )
-    if data.kind not in ("synthetic", "csv"):
-        raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {data.kind!r}")
-    for key, value in [
-        ("data.train_classes_per_domain", data.train_classes_per_domain),
-        ("data.dim", data.dim),
-        ("data.samples_per_class", data.samples_per_class),
-    ]:
-        if value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
-    if data.unseen_classes_per_domain < 0:
-        raise ConfigError("data.unseen_classes_per_domain must be non-negative")
-    if data.cluster_std < 0:
-        raise ConfigError(f"data.cluster_std must be non-negative, got {data.cluster_std}")
-
-    ways = get("train", "ways", 5)
-    shots = get("train", "shots", 5)
-    queries = get("train", "queries", 15)
-    if ways < 2:
-        raise ConfigError(f"train.ways must be at least 2, got {ways}")
-    if shots < 1 or queries < 1:
-        raise ConfigError("train.shots and train.queries must be at least 1")
-
-    epochs = get("train", "epochs", prof["epochs"])
-    tasks = get("train", "tasks_per_epoch", prof["tasks_per_epoch"])
-    lam = get("train", "lambda", 1.0)
-    lam_old = get("train", "lambda_old", None)
-    lam_new = get("train", "lambda_new", None)
-    temperature = get("train", "temperature", 2.0)
-    lr = get("train", "lr", 1e-3)
-    lr_decay = get("train", "lr_decay", 0.5)
-    patience = get("train", "patience", 3)
-    seed = get("train", "seed", 0)
-    val_episodes = get("train", "val_episodes", 50)
-    exemplars_per_class = get("train", "exemplars_per_class", 15)
-    anchors_per_step = get("train", "anchors_per_step", None)
-    kl_order = get("train", "kl_order", "student_first")
-    hidden_dims = get("train", "hidden_dims", (32,))
-    embed_dim = get("train", "embed_dim", 16)
-    rounds = get("train", "rounds", 2)
+    values: dict[str, object] = {}
+    for s in _SETTINGS:
+        if not cp.has_option(s.section, s.key):
+            continue
+        raw = cp.get(s.section, s.key)
+        try:
+            value = s.parse(raw)
+        except ValueError as e:
+            raise ConfigError(f"{s.name}: cannot parse {raw!r} ({e})") from e
+        if s.rule is not None and value is not None and not s.rule[0](value):
+            raise ConfigError(f"{s.name} must be {s.rule[1]}, got {value!r}")
+        values[s.attr] = value
 
     env = os.environ if env is None else env
     if env.get("IML_SEED"):
         try:
-            seed = int(env["IML_SEED"])
+            values["train.seed"] = int(env["IML_SEED"])
         except ValueError as e:
             raise ConfigError(f"IML_SEED must be an integer, got {env['IML_SEED']!r}") from e
 
-    checks = [
-        ("train.epochs", epochs >= 1, epochs),
-        ("train.tasks_per_epoch", tasks >= 1, tasks),
-        ("train.lambda", lam >= 0, lam),
-        ("train.temperature", temperature > 0, temperature),
-        ("train.lr", lr > 0, lr),
-        ("train.lr_decay", 0 < lr_decay <= 1, lr_decay),
-        ("train.patience", patience >= 0, patience),
-        ("train.val_episodes", val_episodes >= 1, val_episodes),
-        ("train.exemplars_per_class", exemplars_per_class >= 1, exemplars_per_class),
-        ("train.embed_dim", embed_dim >= 1, embed_dim),
-        ("train.rounds", rounds >= 1, rounds),
-    ]
-    for key, ok, value in checks:
-        if not ok:
-            raise ConfigError(f"{key}: value {value} is out of range")
-    if lam_old is not None and lam_old < 0:
-        raise ConfigError(f"train.lambda_old: value {lam_old} is out of range")
-    if lam_new is not None and lam_new < 0:
-        raise ConfigError(f"train.lambda_new: value {lam_new} is out of range")
-    if anchors_per_step is not None and anchors_per_step < 1:
-        raise ConfigError(f"train.anchors_per_step: value {anchors_per_step} is out of range")
-    if kl_order not in KL_ORDERS:
-        raise ConfigError(f"train.kl_order must be one of {KL_ORDERS}, got {kl_order!r}")
-    if any(d < 1 for d in hidden_dims):
-        raise ConfigError(f"train.hidden_dims entries must be positive, got {hidden_dims}")
-
-    train = TrainConfig(
-        epochs=epochs,
-        tasks_per_epoch=tasks,
-        episode=EpisodeSpec(ways, shots, queries),
-        lam=lam,
-        lam_old=lam_old,
-        lam_new=lam_new,
-        temperature=temperature,
-        lr=lr,
-        lr_decay=lr_decay,
-        patience=patience,
-        seed=seed,
-        val_episodes=val_episodes,
-        exemplars_per_class=exemplars_per_class,
-        anchors_per_step=anchors_per_step,
-        kl_order=kl_order,
-    )
-
-    ev = EvalConfig(
-        n_episodes=get("eval", "n_episodes", prof["n_episodes"]),
-        seed=get("eval", "seed", 1234),
-        workers=get("eval", "workers", 1),
-        lambda_grid=get("eval", "lambda_grid", EvalConfig.lambda_grid),
-        exemplar_grid=get("eval", "exemplar_grid", EvalConfig.exemplar_grid),
-        ways_grid=get("eval", "ways_grid", EvalConfig.ways_grid),
-        shots_grid=get("eval", "shots_grid", EvalConfig.shots_grid),
-    )
-    if ev.n_episodes < 2:
-        raise ConfigError(f"eval.n_episodes must be at least 2, got {ev.n_episodes}")
-    if ev.workers < 1:
-        raise ConfigError(f"eval.workers must be at least 1, got {ev.workers}")
-    if any(v < 0 for v in ev.lambda_grid):
-        raise ConfigError("eval.lambda_grid entries must be non-negative")
-    if any(v < 1 for v in ev.exemplar_grid):
-        raise ConfigError("eval.exemplar_grid entries must be at least 1")
-
-    return RunConfig(
-        data=data, train=train, eval=ev, profile=profile, rounds=rounds,
-        hidden_dims=hidden_dims, embed_dim=embed_dim,
-    )
+    rc = RunConfig()
+    profile = values.get("profile", rc.profile)
+    for attr, value in {**_PROFILES[profile], **values}.items():
+        rc = _with(rc, attr, value)
+    return rc
 
 
 def dump_config(rc: RunConfig) -> str:
@@ -403,62 +308,10 @@ def dump_config(rc: RunConfig) -> str:
             return repr(value)
         return str(value)
 
-    t, e, d = rc.train, rc.eval, rc.data
-    sections = {
-        "data": {
-            "kind": d.kind,
-            "train_classes_per_domain": d.train_classes_per_domain,
-            "unseen_classes_per_domain": d.unseen_classes_per_domain,
-            "dim": d.dim,
-            "cluster_std": d.cluster_std,
-            "offset_magnitude": d.offset_magnitude,
-            "samples_per_class": d.samples_per_class,
-            "old_train": d.old_train,
-            "new_train": d.new_train,
-            "old_val": d.old_val,
-            "new_val": d.new_val,
-            "old_test": d.old_test,
-            "new_test": d.new_test,
-            "unseen_test": d.unseen_test,
-        },
-        "train": {
-            "ways": t.episode.ways,
-            "shots": t.episode.shots,
-            "queries": t.episode.queries,
-            "epochs": t.epochs,
-            "tasks_per_epoch": t.tasks_per_epoch,
-            "lambda": t.lam,
-            "lambda_old": t.lam_old,
-            "lambda_new": t.lam_new,
-            "temperature": t.temperature,
-            "lr": t.lr,
-            "lr_decay": t.lr_decay,
-            "patience": t.patience,
-            "seed": t.seed,
-            "val_episodes": t.val_episodes,
-            "exemplars_per_class": t.exemplars_per_class,
-            "anchors_per_step": t.anchors_per_step,
-            "kl_order": t.kl_order,
-            "hidden_dims": rc.hidden_dims,
-            "embed_dim": rc.embed_dim,
-            "profile": rc.profile,
-            "rounds": rc.rounds,
-        },
-        "eval": {
-            "n_episodes": e.n_episodes,
-            "seed": e.seed,
-            "workers": e.workers,
-            "lambda_grid": e.lambda_grid,
-            "exemplar_grid": e.exemplar_grid,
-            "ways_grid": e.ways_grid,
-            "shots_grid": e.shots_grid,
-        },
-    }
     out = []
-    for sec, keys in sections.items():
+    for sec, settings in groupby(_SETTINGS, key=lambda s: s.section):
         out.append(f"[{sec}]")
-        for key, value in keys.items():
-            out.append(f"{key} = {fmt(value)}")
+        out.extend(f"{s.key} = {fmt(_get(rc, s.attr))}" for s in settings)
         out.append("")
     return "\n".join(out)
 
@@ -495,7 +348,7 @@ class RunPaths:
 def _prepare(rc: RunConfig) -> RunPaths:
     rp = RunPaths(Path(rc.output_dir))
     rp.ensure()
-    (rp.root / "config.resolved").write_text(dump_config(rc))
+    write_text_atomic(rp.root / "config.resolved", dump_config(rc))
     return rp
 
 
@@ -627,12 +480,11 @@ def cmd_train_paragon(args, rc: RunConfig) -> int:
 def cmd_eval(args, rc: RunConfig) -> int:
     rp = _prepare(rc)
     if args.snapshot:
-        snap_path = Path(args.snapshot)
-        label = args.label or load_snapshot(snap_path).meta.method
+        snap = load_snapshot(Path(args.snapshot))
+        label = args.label or snap.meta.method
     else:
-        snap_path = _snapshot_path(rp, args.method)
+        snap = load_snapshot(_snapshot_path(rp, args.method))
         label = args.method
-    snap = load_snapshot(snap_path)
     splits = [s for s in args.splits.split(",") if s]
     for s in splits:
         if s not in ("old", "new", "unseen"):
@@ -650,7 +502,7 @@ def cmd_eval(args, rc: RunConfig) -> int:
             f"({rep.n_episodes} episodes)"
         )
     out = rp.reports / f"eval_{label}.csv"
-    out.write_text("\n".join(lines) + "\n")
+    write_text_atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -698,7 +550,7 @@ def cmd_sweep_lambda(args, rc: RunConfig) -> int:
         rc.eval.n_episodes, rc.eval.seed,
     )
     out = rp.reports / "sweep_lambda.csv"
-    out.write_text("\n".join(table.csv_lines()) + "\n")
+    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -715,7 +567,7 @@ def cmd_sweep_exemplars(args, rc: RunConfig) -> int:
         _eval_split_tables(rc, rp), rc.eval.n_episodes, rc.eval.seed,
     )
     out = rp.reports / "sweep_exemplars.csv"
-    out.write_text("\n".join(table.csv_lines()) + "\n")
+    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -740,7 +592,7 @@ def cmd_cross_way_shot(args, rc: RunConfig) -> int:
         queries=rc.train.episode.queries, labels=methods,
     )
     out = rp.reports / "cross_way_shot.csv"
-    out.write_text("\n".join(table.csv_lines()) + "\n")
+    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -814,10 +666,6 @@ def summary_markdown(rows: list[ReportRow]) -> str:
     return "\n".join(out)
 
 
-def emit_report(results: list[ReportRow], out_path) -> None:
-    Path(out_path).write_text(summary_markdown(results))
-
-
 def _read_eval_csv(path: Path) -> list[ReportRow]:
     label = path.stem[len("eval_"):]
     rows = []
@@ -885,7 +733,7 @@ def cmd_report(args, rc: RunConfig) -> int:
     if not text.endswith("\n"):
         text += "\n"
     out = rp.reports / "summary.md"
-    out.write_text(text)
+    write_text_atomic(out, text)
     print(text)
     print(f"wrote {out}")
     return 0

@@ -9,6 +9,7 @@ vector, with isotropic Gaussian samples around each center.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,13 +186,20 @@ def gen_synthetic(
     return Dataset(features, labels, split_name)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write through a temp file and a rename, so a crash never leaves a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write `label,f0,f1,...` rows; float repr so a round trip is bit-exact."""
-    path = Path(path)
     lines = ["label," + ",".join(f"f{i}" for i in range(dataset.dim))]
     for row, lab in zip(dataset.features, dataset.labels):
         lines.append(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path, split_name: str | None = None) -> Dataset:
@@ -206,7 +214,7 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
     width = len(lines[0].split(","))
     if width < 2:
         raise DatasetFormatError(f"{path}: line 1: header has no feature columns")
-    features, labels = [], []
+    features, labels, line_nos = [], [], []
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -220,51 +228,16 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
             features.append([float(v) for v in parts[1:]])
         except ValueError as e:
             raise DatasetFormatError(f"{path}: line {no}: {e}") from e
+        line_nos.append(no)
     if not features:
         raise DatasetFormatError(f"{path}: no data rows")
-    return Dataset(
-        np.asarray(features), np.asarray(labels), split_name or path.stem
-    )
-
-
-def split_classes(
-    dataset: Dataset, fractions: tuple[float, float, float], seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Class-disjoint split into (old, new, unseen) by shuffled apportionment.
-
-    A split with a positive fraction must land at least 2 classes (else no
-    episode can be posed on it); zero-fraction splits come back empty.
-    """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be three non-negative numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
-    classes = list(dataset.classes)
-    rng = np.random.default_rng([seed, 21])
-    rng.shuffle(classes)
-
-    total = len(classes)
-    exact = [f * total for f in fractions]
-    counts = [int(math.floor(e)) for e in exact]
-    order = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
-    for i in range(total - sum(counts)):
-        counts[order[i % 3]] += 1
-    names = ("old", "new", "unseen")
-    for frac, cnt, name in zip(fractions, counts, names):
-        if frac > 0 and cnt < 2:
-            raise ValueError(
-                f"split '{name}' would receive {cnt} classes; episodes need at least 2"
-            )
-    out = []
-    start = 0
-    for cnt, name in zip(counts, names):
-        ids = classes[start : start + cnt]
-        start += cnt
-        if ids:
-            out.append(dataset.subset_classes(ids, name))
-        else:
-            out.append(Dataset(np.empty((0, dataset.dim)), np.empty(0, dtype=np.int64), name))
-    return tuple(out)
+    features = np.asarray(features)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(
+            f"{path}: line {line_nos[bad[0]]}: non-finite feature value"
+        )
+    return Dataset(features, np.asarray(labels), split_name or path.stem)
 
 
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
@@ -326,9 +299,6 @@ class ExemplarSet:
 
     def count(self, class_id: int) -> int:
         return self.features_by_class[class_id].shape[0]
-
-    def min_count(self) -> int:
-        return min(v.shape[0] for v in self.features_by_class.values())
 
     def as_dataset(self, split_name: str = "exemplars") -> Dataset:
         feats = np.vstack([self.features_by_class[c] for c in self.classes])

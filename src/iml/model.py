@@ -128,16 +128,6 @@ def compute_prototypes(z, labels, n_classes: int) -> Tensor:
     return ad.class_means(z, labels, n_classes)
 
 
-def chi(z: Array, c: Array) -> float:
-    """Anchor affinity: negative squared Euclidean distance."""
-    z = np.asarray(z, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if z.shape != c.shape or z.ndim != 1:
-        raise ValueError("chi expects two vectors of equal length")
-    d = z - c
-    return float(-np.dot(d, d))
-
-
 @dataclass(frozen=True)
 class AnchorSet:
     """Stored class centers in embedding space, tagged by the round that made them."""

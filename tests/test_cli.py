@@ -3,13 +3,16 @@ from pathlib import Path
 
 import pytest
 
+import iml.cli
+from iml.anchorstore import load_snapshot
 from iml.cli import (
+    _SETTINGS,
     CSV_HEADER,
     ConfigError,
     ReportRow,
+    RunConfig,
     cmd_dispatch,
     dump_config,
-    emit_report,
     parse_config,
     summary_markdown,
 )
@@ -50,6 +53,7 @@ def tiny_cfg(tmp_path):
 
 def test_defaults_without_config():
     rc = parse_config(None, env={})
+    assert rc == RunConfig()
     assert rc.profile == "desk"
     assert rc.train.epochs == 30
     assert rc.train.tasks_per_epoch == 100
@@ -168,6 +172,14 @@ def test_dump_config_round_trip(tiny_cfg, tmp_path):
     assert dump_config(rc2) == text
     assert rc2.train.lr == 0.003
     assert rc2.train.episode == rc.train.episode
+    # every table key appears exactly once
+    names, sec = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            sec = line[1:-1]
+        elif line:
+            names.append(f"{sec}.{line.split(' = ')[0]}")
+    assert sorted(names) == sorted(s.name for s in _SETTINGS)
 
 
 # ---- dispatch and exit codes ----
@@ -263,7 +275,7 @@ def test_pipeline_smoke(tiny_cfg, tmp_path):
     assert (run / "logs" / "incr_ida.csv").exists()
 
 
-def test_eval_custom_snapshot_label(tiny_cfg, tmp_path):
+def test_eval_custom_snapshot_label(tiny_cfg, tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", out]) == 0
     assert cmd_dispatch(["train-base", "-c", tiny_cfg, "--out", out]) == 0
@@ -272,6 +284,19 @@ def test_eval_custom_snapshot_label(tiny_cfg, tmp_path):
                          "--splits", "old", "-c", tiny_cfg, "--out", out])
     assert code == 0
     assert (Path(out) / "reports" / "eval_teacher.csv").exists()
+    # without --label the label comes from the snapshot, read only once
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_snapshot(path)
+
+    monkeypatch.setattr(iml.cli, "load_snapshot", counting_load)
+    code = cmd_dispatch(["eval", "--snapshot", snap, "--splits", "old",
+                         "-c", tiny_cfg, "--out", out])
+    assert code == 0
+    assert len(calls) == 1
+    assert (Path(out) / "reports" / "eval_base.csv").exists()
 
 
 def test_eval_rejects_unknown_split(tiny_cfg, tmp_path, capsys):
@@ -340,12 +365,6 @@ def test_summary_groups_by_episode_shape():
     text = summary_markdown(rows)
     assert "## 3-way 2-shot (10 episodes)" in text
     assert "## 5-way 1-shot (20 episodes)" in text
-
-
-def test_emit_report(tmp_path):
-    out = tmp_path / "summary.md"
-    emit_report(sample_rows(), out)
-    assert out.read_text().startswith("# Results")
 
 
 def test_report_includes_sweep_sections(tiny_cfg, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from iml.data import (
     sample_anchor_subset,
     sample_episode,
     save_dataset,
-    split_classes,
     uniform_offset,
 )
 from iml.model import AnchorSet
@@ -159,6 +159,20 @@ def test_csv_header_round_trip(tmp_path):
     assert header == "label,f0,f1,f2"
 
 
+def test_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    save_dataset(gen_synthetic(small_spec()), p)
+    before = p.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_dataset(gen_synthetic(small_spec(seed=1)), p)
+    assert p.read_bytes() == before
+
+
 def test_load_errors_name_the_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
@@ -167,6 +181,10 @@ def test_load_errors_name_the_line(tmp_path):
     p.write_text("label,f0,f1\n0,1.0,abc\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
         load_dataset(p, "x")
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{bad}\n")
+        with pytest.raises(DatasetFormatError, match="line 4: non-finite"):
+            load_dataset(p, "x")
     p.write_text("nope,f0\n0,1.0\n")
     with pytest.raises(DatasetFormatError, match="line 1"):
         load_dataset(p, "x")
@@ -175,37 +193,6 @@ def test_load_errors_name_the_line(tmp_path):
         load_dataset(p, "x")
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "missing.csv", "x")
-
-
-def test_split_classes_fractions():
-    ds = gen_synthetic(small_spec(classes_per_domain=16))  # 32 classes
-    old, new, unseen = split_classes(ds, (0.5, 0.5, 0.0), seed=0)
-    assert old.n_classes == 16 and new.n_classes == 16 and unseen.n_classes == 0
-    assert set(old.classes) | set(new.classes) == set(ds.classes)
-    assert set(old.classes) & set(new.classes) == set()
-    assert (old.split_name, new.split_name, unseen.split_name) == ("old", "new", "unseen")
-
-
-def test_split_classes_everything_old():
-    ds = gen_synthetic(small_spec())
-    old, new, unseen = split_classes(ds, (1.0, 0.0, 0.0), seed=1)
-    assert old.classes == ds.classes
-    assert len(new) == 0 and len(unseen) == 0
-
-
-def test_split_classes_deterministic_and_seed_sensitive():
-    ds = gen_synthetic(small_spec(classes_per_domain=16))
-    a1, _, _ = split_classes(ds, (0.5, 0.25, 0.25), seed=7)
-    a2, _, _ = split_classes(ds, (0.5, 0.25, 0.25), seed=7)
-    b1, _, _ = split_classes(ds, (0.5, 0.25, 0.25), seed=8)
-    assert a1.classes == a2.classes
-    assert a1.classes != b1.classes
-
-
-def test_split_classes_tiny_split_rejected():
-    ds = gen_synthetic(small_spec())  # 8 classes
-    with pytest.raises(ValueError, match="at least 2"):
-        split_classes(ds, (0.85, 0.15, 0.0), seed=0)
 
 
 def test_episode_spec_validation():
@@ -310,7 +297,7 @@ def test_reserve_exemplars():
     ds = gen_synthetic(small_spec(samples_per_class=20))
     ex = reserve_exemplars(ds, 15, np.random.default_rng(0))
     assert ex.classes == ds.classes
-    assert ex.min_count() == 15
+    assert all(ex.count(c) == 15 for c in ex.classes)
     # rows come from the dataset
     all_rows = {tuple(r) for r in ds.features}
     for c in ex.classes:
@@ -321,7 +308,7 @@ def test_reserve_exemplars():
 def test_reserve_exemplars_caps_at_class_size():
     ds = gen_synthetic(small_spec(samples_per_class=6))
     ex = reserve_exemplars(ds, 50, np.random.default_rng(1))
-    assert ex.min_count() == 6
+    assert all(ex.count(c) == 6 for c in ex.classes)
 
 
 def test_reserve_exemplars_deterministic():

@@ -9,7 +9,6 @@ from iml.model import (
     ModelSnapshot,
     ParamStore,
     SnapshotMeta,
-    chi,
     compute_prototypes,
     discriminant,
     embed,
@@ -101,13 +100,6 @@ def test_prototypes_are_exact_class_means():
     protos = compute_prototypes(tape.leaf(z), labels, 3)
     for c in range(3):
         assert np.array_equal(protos.data[c], z[labels == c].mean(axis=0))
-
-
-def test_chi_is_negative_sqdist():
-    z = np.array([1.0, 2.0, 3.0])
-    c = np.array([1.0, 0.0, 0.0])
-    assert chi(z, c) == -(0.0 + 4.0 + 9.0)
-    assert chi(z, z) == 0.0
 
 
 def test_anchor_set_basics():
