@@ -243,6 +243,7 @@ def parse_config(
     No file at all (or an empty one) resolves to pure defaults.
     """
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    cp.optionxform = str  # names are case-sensitive, as config.resolved writes them
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -256,7 +257,7 @@ def parse_config(
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         sec, key = target.split(".", 1)
-        sec, key = sec.strip(), key.strip().lower()
+        sec, key = sec.strip(), key.strip()
         if not cp.has_section(sec):
             cp.add_section(sec)
         cp.set(sec, key, value.strip())
@@ -487,11 +488,11 @@ def cmd_eval(args, rc: RunConfig) -> int:
         label = args.method
     splits = [s for s in args.splits.split(",") if s]
     for s in splits:
-        if s not in ("old", "new", "unseen"):
-            raise ConfigError(f"unknown split {s!r}; choose from old,new,unseen")
+        if s not in SPLIT_ORDER:
+            raise ConfigError(f"unknown split {s!r}; choose from {','.join(SPLIT_ORDER)}")
     lines = [CSV_HEADER]
     for s in splits:
-        ds = _load_role(rc, rp, f"{s}_test" if s != "unseen" else "unseen_test")
+        ds = _load_role(rc, rp, f"{s}_test")
         rep = evaluate(
             snap, ds, rc.train.episode, rc.eval.n_episodes, rc.eval.seed,
             workers=rc.eval.workers,
@@ -532,11 +533,7 @@ def cmd_rounds(args, rc: RunConfig) -> int:
 
 
 def _eval_split_tables(rc: RunConfig, rp: RunPaths) -> dict[str, Dataset]:
-    return {
-        "old": _load_role(rc, rp, "old_test"),
-        "new": _load_role(rc, rp, "new_test"),
-        "unseen": _load_role(rc, rp, "unseen_test"),
-    }
+    return {s: _load_role(rc, rp, f"{s}_test") for s in SPLIT_ORDER}
 
 
 def cmd_sweep_lambda(args, rc: RunConfig) -> int:
@@ -584,8 +581,7 @@ def cmd_cross_way_shot(args, rc: RunConfig) -> int:
         if not methods:
             raise FileNotFoundError(f"no snapshots under {rp.snapshots}; train first")
     snaps = [load_snapshot(_snapshot_path(rp, m)) for m in methods]
-    role = f"{args.split}_test" if args.split != "unseen" else "unseen_test"
-    ds = _load_role(rc, rp, role)
+    ds = _load_role(rc, rp, f"{args.split}_test")
     table = cross_way_shot(
         snaps, rc.eval.ways_grid, rc.eval.shots_grid, ds,
         rc.eval.n_episodes, rc.eval.seed,
@@ -775,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep-exemplars", parents=[common], help="exemplar-budget sweep")
     p = sub.add_parser("cross-way-shot", parents=[common], help="ways/shots grid")
     p.add_argument("--methods", default=None, help="comma list; default: all trained")
-    p.add_argument("--split", default="unseen", choices=("old", "new", "unseen"))
+    p.add_argument("--split", default="unseen", choices=SPLIT_ORDER)
     sub.add_parser("report", parents=[common], help="render markdown summary")
     return parser
 

@@ -190,8 +190,12 @@ def write_text_atomic(path, text: str) -> None:
     """Write through a temp file and a rename, so a crash never leaves a half-written file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_dataset(dataset: Dataset, path) -> None:

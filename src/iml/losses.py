@@ -158,16 +158,13 @@ def eiml_loss(
     anchor subset fixed to the stored anchors of the exemplar episode's
     classes.
     """
-    ep = exemplar_episode
-    z_old_s = embed(old.params, ep.support_x)
-    c_old = compute_prototypes(z_old_s, ep.support_y, ep.n_ways)
-    z_new_s = embed(new_params, ep.support_x)
-    c_new = compute_prototypes(z_new_s, ep.support_y, ep.n_ways)
-    p_teacher = discriminant(embed(old.params, ep.query_x), c_old, temperature)
-    p_student = discriminant(embed(new_params, ep.query_x), c_new, temperature)
+    d_teacher, _ = query_sqdists(old.params, exemplar_episode)
+    d_student, _ = query_sqdists(new_params, exemplar_episode)
+    p_teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
+    p_student = ad.softmax_rows(ad.scale(d_student, -1.0), temperature)
     align_old = ad.tmean(ad.kl_div_rows(p_teacher, p_student))
 
-    anchors = old.anchors.restrict(ep.class_map)
+    anchors = old.anchors.restrict(exemplar_episode.class_map)
     align_new = ida_loss(old, new_params, batch_x, anchors, temperature, kl_order)
     return align_old, align_new
 

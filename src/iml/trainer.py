@@ -11,15 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .anchorstore import extract_anchors
-from .autodiff import Array, Tape
-from .data import Dataset, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode
+from .autodiff import Array, Tape, Tensor
+from .data import (
+    Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
+)
 from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
 from .model import (
     BackboneConfig,
+    BoundParams,
     ModelSnapshot,
     ParamStore,
     SnapshotMeta,
@@ -63,8 +67,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.tasks_per_epoch < 1:
             raise ValueError("epochs and tasks_per_epoch must be at least 1")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
+        for name, lam in (("lambda", self.lam), ("lambda_old", self.lam_old),
+                          ("lambda_new", self.lam_new)):
+            if lam is not None and lam < 0:
+                raise ValueError(f"{name} must be non-negative, got {lam}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.lr <= 0:
@@ -75,6 +81,8 @@ class TrainConfig:
             raise ValueError("patience must be non-negative")
         if self.val_episodes < 1:
             raise ValueError("val_episodes must be at least 1")
+        if self.anchors_per_step is not None and self.anchors_per_step < 1:
+            raise ValueError(f"anchors_per_step must be at least 1, got {self.anchors_per_step}")
         if self.kl_order not in KL_ORDERS:
             raise ValueError(f"kl_order must be one of {KL_ORDERS}, got {self.kl_order!r}")
 
@@ -157,13 +165,6 @@ class _EpochLog:
                 f.write(f"{epoch},{split},{loss:.6f},{acc:.4f},{lr:.8g}\n")
 
 
-def _check_finite(value: float, epoch: int, task: int) -> None:
-    if not math.isfinite(value):
-        raise TrainingDivergenceError(
-            f"non-finite loss {value} at epoch {epoch}, task {task}"
-        )
-
-
 def _validate(
     params: ParamStore, val_ds: Dataset, cfg: TrainConfig, round_index: int, epoch: int
 ) -> tuple[float, float]:
@@ -187,6 +188,40 @@ def _exemplar_episode_spec(cfg: TrainConfig, exemplar_ds: Dataset) -> EpisodeSpe
     return EpisodeSpec(ways, shots, queries)
 
 
+def _fit(
+    params: ParamStore, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
+    round_index: int, objective: Callable[[BoundParams, Episode], Tensor],
+) -> None:
+    """Adam on `objective(bound, episode)` over sampled tasks, in place on `params`.
+
+    Each epoch logs the mean train loss and accuracy, validates, and steps
+    the lr schedule; `round_index` keys the episode and validation streams.
+    """
+    state = init_optim(params, cfg)
+    epi_rng = np.random.default_rng([cfg.seed, _EPISODE_STREAM, round_index])
+    log = _EpochLog(cfg.log_path)
+    for epoch in range(cfg.epochs):
+        ep_losses, ep_accs = [], []
+        for task in range(cfg.tasks_per_epoch):
+            ep = sample_episode(train_ds, cfg.episode, epi_rng)
+            tape = Tape()
+            bound = params.bind(tape)
+            loss = objective(bound, ep)
+            value = float(loss)
+            if not math.isfinite(value):
+                raise TrainingDivergenceError(
+                    f"non-finite loss {value} at epoch {epoch}, task {task}"
+                )
+            grads = tape.backward(loss, bound.ids)
+            adam_step(params, [grads[i] for i in bound.ids], state)
+            ep_losses.append(value)
+            ep_accs.append(score_episode(params, ep))
+        log.row(epoch, "train", float(np.mean(ep_losses)), float(np.mean(ep_accs)), state.lr)
+        val_loss, val_acc = _validate(params, val_ds, cfg, round_index, epoch)
+        log.row(epoch, "val", val_loss, val_acc, state.lr)
+        lr_schedule_update(state, val_acc, cfg)
+
+
 def train_base(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -200,25 +235,8 @@ def train_base(
             f"backbone expects {backbone.input_dim}-dim inputs, data is {train_ds.dim}-dim"
         )
     params = init_backbone(backbone, cfg.seed)
-    state = init_optim(params, cfg)
-    epi_rng = np.random.default_rng([cfg.seed, _EPISODE_STREAM, 0])
-    log = _EpochLog(cfg.log_path)
-    for epoch in range(cfg.epochs):
-        ep_losses, ep_accs = [], []
-        for task in range(cfg.tasks_per_epoch):
-            ep = sample_episode(train_ds, cfg.episode, epi_rng)
-            tape = Tape()
-            bound = params.bind(tape)
-            loss = meta_xent_loss(bound, ep, cfg.temperature)
-            _check_finite(float(loss), epoch, task)
-            grads = tape.backward(loss, bound.ids)
-            adam_step(params, [grads[i] for i in bound.ids], state)
-            ep_losses.append(float(loss))
-            ep_accs.append(score_episode(params, ep))
-        log.row(epoch, "train", float(np.mean(ep_losses)), float(np.mean(ep_accs)), state.lr)
-        val_loss, val_acc = _validate(params, val_ds, cfg, 0, epoch)
-        log.row(epoch, "val", val_loss, val_acc, state.lr)
-        lr_schedule_update(state, val_acc, cfg)
+    _fit(params, train_ds, val_ds, cfg, 0,
+         lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature))
     anchors = extract_anchors(params, train_ds, round_tag=0)
     meta = SnapshotMeta(seed=cfg.seed, round_index=0, method=method_tag)
     return freeze_snapshot(backbone, params, anchors, meta)
@@ -260,56 +278,30 @@ def train_incremental(
 
     round_index = old.meta.round_index + 1
     params = old.params.copy()
-    state = init_optim(params, cfg)
-    epi_rng = np.random.default_rng([cfg.seed, _EPISODE_STREAM, round_index])
     anchor_rng = np.random.default_rng([cfg.seed, _ANCHOR_STREAM, round_index])
     ex_rng = np.random.default_rng([cfg.seed, _EXEMPLAR_STREAM, round_index])
 
-    lam_old = cfg.lam if cfg.lam_old is None else cfg.lam_old
-    lam_new = cfg.lam if cfg.lam_new is None else cfg.lam_new
-    need_align = (
-        (lam_old != 0.0 or lam_new != 0.0)
-        if method is MethodKind.EIML
-        else cfg.lam != 0.0
-    )
+    # eiml's unset weights fall back to lam, as in incremental_objective
+    weights = (cfg.lam_old, cfg.lam_new) if method is MethodKind.EIML else (cfg.lam,)
+    need_align = any((cfg.lam if w is None else w) != 0.0 for w in weights)
+    k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
     exemplar_ds = exemplar_spec = None
     if method is MethodKind.EIML and need_align:
         exemplar_ds = exemplars.as_dataset()
         exemplar_spec = _exemplar_episode_spec(cfg, exemplar_ds)
 
-    log = _EpochLog(cfg.log_path)
-    for epoch in range(cfg.epochs):
-        ep_losses, ep_accs = [], []
-        for task in range(cfg.tasks_per_epoch):
-            ep = sample_episode(new_ds, cfg.episode, epi_rng)
-            aux = AlignAux(batch=ep.all_inputs())
-            if need_align and method is MethodKind.IDA:
-                k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
-                aux = AlignAux(
-                    anchors=sample_anchor_subset(old.anchors, k, anchor_rng),
-                    batch=aux.batch,
-                )
-            elif need_align and method is MethodKind.EIML:
-                aux = AlignAux(
-                    batch=aux.batch,
-                    exemplar_episode=sample_episode(exemplar_ds, exemplar_spec, ex_rng),
-                )
-            tape = Tape()
-            bound = params.bind(tape)
-            breakdown = incremental_objective(
-                method, old, bound, ep, aux,
-                cfg.lam, cfg.temperature, cfg.kl_order, cfg.lam_old, cfg.lam_new,
-            )
-            _check_finite(float(breakdown.total), epoch, task)
-            grads = tape.backward(breakdown.total, bound.ids)
-            adam_step(params, [grads[i] for i in bound.ids], state)
-            ep_losses.append(float(breakdown.total))
-            ep_accs.append(score_episode(params, ep))
-        log.row(epoch, "train", float(np.mean(ep_losses)), float(np.mean(ep_accs)), state.lr)
-        val_loss, val_acc = _validate(params, val_ds, cfg, round_index, epoch)
-        log.row(epoch, "val", val_loss, val_acc, state.lr)
-        lr_schedule_update(state, val_acc, cfg)
+    def objective(bound, ep):
+        aux = AlignAux()
+        if need_align and method is MethodKind.IDA:
+            aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng))
+        elif need_align and method is MethodKind.EIML:
+            aux = AlignAux(exemplar_episode=sample_episode(exemplar_ds, exemplar_spec, ex_rng))
+        return incremental_objective(
+            method, old, bound, ep, aux,
+            cfg.lam, cfg.temperature, cfg.kl_order, cfg.lam_old, cfg.lam_new,
+        ).total
 
+    _fit(params, new_ds, val_ds, cfg, round_index, objective)
     new_anchors = extract_anchors(params, new_ds, round_tag=round_index)
     anchors = merge_anchor_sets(old.anchors, new_anchors)
     meta = SnapshotMeta(seed=cfg.seed, round_index=round_index, method=method.value)

@@ -93,13 +93,20 @@ def test_unknown_profile(tmp_path):
 
 
 def test_unknown_section_and_key(tmp_path):
+    """Names must match config.resolved exactly, lower case included."""
     p = tmp_path / "c.ini"
-    p.write_text("[optimizer]\nlr = 0.1\n")
-    with pytest.raises(ConfigError, match="unknown config section"):
-        parse_config(str(p), env={})
-    p.write_text("[train]\nlearning_rate = 0.1\n")
-    with pytest.raises(ConfigError, match="unknown config key train.learning_rate"):
-        parse_config(str(p), env={})
+    cases = [
+        ("[optimizer]\nlr = 0.1\n", [], "unknown config section"),
+        ("[train]\nlearning_rate = 0.1\n", [], "unknown config key train.learning_rate"),
+        ("[TRAIN]\nlr = 0.01\n", [], r"unknown config section \[TRAIN\]"),
+        ("[train]\nLR = 0.01\n", [], "unknown config key train.LR"),
+        ("", ["TRAIN.lr=0.01"], r"unknown config section \[TRAIN\]"),
+        ("", ["train.LR=0.01"], "unknown config key train.LR"),
+    ]
+    for text, sets, needle in cases:
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(str(p), sets, env={})
 
 
 def test_missing_config_file():

@@ -171,6 +171,7 @@ def test_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         save_dataset(gen_synthetic(small_spec(seed=1)), p)
     assert p.read_bytes() == before
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_load_errors_name_the_line(tmp_path):

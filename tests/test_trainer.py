@@ -81,6 +81,11 @@ def test_config_validation():
         small_cfg(temperature=0.0)
     with pytest.raises(ValueError):
         small_cfg(kl_order="sideways")
+    for bad, needle in ((dict(lam_old=-0.5), "lambda_old"), (dict(lam_new=-1.0), "lambda_new"),
+                        (dict(anchors_per_step=0), "anchors_per_step"),
+                        (dict(anchors_per_step=-2), "anchors_per_step")):
+        with pytest.raises(ValueError, match=needle):
+            small_cfg(**bad)
 
 
 def test_init_optim_shapes():
