@@ -216,17 +216,24 @@ def _vjp_relu(v, aux, out, g):
     return [g * (v[0] > 0.0)]
 
 
+def _pair_diffs(z: Array, c: Array) -> Array:
+    """d[i, k] = z[i] - c[k]; repeating z lets one subtraction span each (k, F) block."""
+    d = np.repeat(z, c.shape[0], axis=0).reshape(z.shape[0], c.shape[0], z.shape[1])
+    d -= c
+    return d
+
+
 def _fwd_pairsq(v, aux):
     z, c = v
     if z.ndim != 2 or c.ndim != 2 or z.shape[1] != c.shape[1]:
         raise ValueError(f"pairwise_sqdist: shapes {z.shape} and {c.shape}")
-    d = z[:, None, :] - c[None, :, :]
+    d = _pair_diffs(z, c)
     return np.einsum("ikj,ikj->ik", d, d)
 
 
 def _vjp_pairsq(v, aux, out, g):
     z, c = v
-    d = z[:, None, :] - c[None, :, :]
+    d = _pair_diffs(z, c)
     gz = 2.0 * np.einsum("ik,ikj->ij", g, d)
     gc = -2.0 * np.einsum("ik,ikj->kj", g, d)
     return [gz, gc]

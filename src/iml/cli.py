@@ -20,15 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .anchorstore import (
-    SnapshotCorruptError,
-    SnapshotVersionError,
-    load_snapshot,
-    save_snapshot,
-)
+from .anchorstore import load_snapshot, save_snapshot
 from .data import (
     Dataset,
-    DatasetFormatError,
     SyntheticSpec,
     concat_datasets,
     gen_synthetic,
@@ -40,7 +34,6 @@ from .data import (
 )
 from .evaluator import (
     CSV_HEADER,
-    EvalReport,
     cross_way_shot,
     evaluate,
     sweep_exemplars,
@@ -50,7 +43,6 @@ from .losses import KL_ORDERS, MethodKind
 from .model import BackboneConfig
 from .trainer import (
     TrainConfig,
-    TrainingDivergenceError,
     run_rounds,
     train_base,
     train_incremental,

@@ -107,13 +107,20 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class Episode:
-    """One sampled task; labels are local 0..K-1, class_map holds global ids."""
+    """One sampled task; labels are local 0..K-1, class_map holds global ids.
+
+    `support_rows` and `query_rows` are the dataset rows the inputs were
+    drawn from, so a table of per-row embeddings can be gathered instead of
+    re-embedding the inputs; hand-built episodes leave them unset.
+    """
 
     support_x: Array
     support_y: Array
     query_x: Array
     query_y: Array
     class_map: tuple[int, ...]
+    support_rows: Array | None = None
+    query_rows: Array | None = None
 
     @property
     def n_ways(self) -> int:
@@ -254,7 +261,7 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
         )
     chosen = rng.choice(classes, size=spec.ways, replace=False)
     need = spec.shots + spec.queries
-    sx, qx = [], []
+    srows, qrows = [], []
     for cid in chosen:
         rows = dataset.class_index[int(cid)]
         if rows.size < need:
@@ -262,13 +269,14 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
                 f"class {int(cid)} has {rows.size} rows; episode needs {need}"
             )
         pick = rng.choice(rows, size=need, replace=False)
-        sx.append(dataset.features[pick[: spec.shots]])
-        qx.append(dataset.features[pick[spec.shots :]])
+        srows.append(pick[: spec.shots])
+        qrows.append(pick[spec.shots :])
+    support_rows, query_rows = np.concatenate(srows), np.concatenate(qrows)
     support_y = np.repeat(np.arange(spec.ways, dtype=np.int64), spec.shots)
     query_y = np.repeat(np.arange(spec.ways, dtype=np.int64), spec.queries)
     return Episode(
-        np.vstack(sx), support_y, np.vstack(qx), query_y,
-        tuple(int(c) for c in chosen),
+        dataset.features[support_rows], support_y, dataset.features[query_rows], query_y,
+        tuple(int(c) for c in chosen), support_rows, query_rows,
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, EpisodeSpec, reserve_exemplars, sample_episode
 from .losses import MethodKind
-from .model import ModelSnapshot, score_episode
+from .model import ModelSnapshot, embed, nearest_prototype_accuracy, prototype_sqdists
 from .trainer import TrainConfig, train_incremental
 
 
@@ -58,14 +58,23 @@ def evaluate(
     seed: int,
     workers: int = 1,
 ) -> EvalReport:
-    """Mean episode accuracy with a 95% interval over n independent episodes."""
+    """Mean episode accuracy with a 95% interval over n independent episodes.
+
+    The dataset is embedded once; each episode gathers its rows from that table.
+    """
     if n_episodes < 2:
         raise ValueError("evaluation needs at least two episodes for an interval")
+    if snapshot.config.input_dim != dataset.dim:
+        raise ValueError(
+            f"snapshot expects {snapshot.config.input_dim}-dim inputs, "
+            f"dataset '{dataset.split_name}' is {dataset.dim}-dim"
+        )
+    z = embed(snapshot.params, dataset.features).data
 
     def one(i: int) -> float:
-        rng = np.random.default_rng([seed, i])
-        ep = sample_episode(dataset, spec, rng)
-        return score_episode(snapshot.params, ep)
+        ep = sample_episode(dataset, spec, np.random.default_rng([seed, i]))
+        d = prototype_sqdists(z[ep.support_rows], z[ep.query_rows], ep)
+        return nearest_prototype_accuracy(d, ep.query_y)
 
     if workers <= 1:
         accs = [one(i) for i in range(n_episodes)]

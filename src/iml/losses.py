@@ -89,7 +89,14 @@ def meta_xent_loss(
     """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T)."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    d, y = query_sqdists(params, episode)
+    return prototype_xent(*query_sqdists(params, episode), temperature)
+
+
+def prototype_xent(d, y, temperature: float) -> Tensor:
+    """Mean over rows of d[y] / T + log sum_k exp(-d_k / T).
+
+    `d` holds query-to-prototype squared distances, on a tape or as a plain array.
+    """
     pull = ad.scale(ad.take_per_row(d, y), 1.0 / temperature)
     spread = ad.logsumexp_rows(ad.scale(d, -1.0 / temperature))
     return ad.tmean(ad.add(pull, spread))

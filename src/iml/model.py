@@ -217,14 +217,36 @@ def freeze_snapshot(
     )
 
 
-def score_episode(params: ParamStore, episode) -> float:
-    """Fraction of query points whose nearest support prototype has the right label.
+def prototype_sqdists(zs: Array, zq: Array, episode) -> Array:
+    """Squared distances from query embeddings to the episode's support prototypes.
+
+    Off the tape, for scoring.  Every class needs the same number of support
+    rows, the layout `sample_episode` draws; the stable sort keeps each
+    class's rows in order, so the prototypes are bitwise those of
+    :func:`compute_prototypes`.
+    """
+    labels = np.asarray(episode.support_y)
+    counts = np.bincount(labels, minlength=episode.n_ways)
+    if counts.size != episode.n_ways or counts.min() < 1 or counts.max() != counts.min():
+        raise ValueError(
+            f"support needs equally many rows for each of {episode.n_ways} classes, "
+            f"got counts {counts.tolist()}"
+        )
+    order = np.argsort(labels, kind="stable")
+    protos = zs[order].reshape(episode.n_ways, -1, zs.shape[1]).mean(axis=1)
+    return ad.pairwise_sqdist(zq, protos).data
+
+
+def nearest_prototype_accuracy(d: Array, query_y) -> float:
+    """Fraction of rows of `d` whose smallest distance is at the true label.
 
     Ties in distance resolve to the lowest class index (argmin order).
     """
+    return float((d.argmin(axis=1) == query_y).mean())
+
+
+def score_episode(params: ParamStore, episode) -> float:
+    """Fraction of query points whose nearest support prototype has the right label."""
     zs = embed(params, episode.support_x).data
-    protos = compute_prototypes(zs, episode.support_y, episode.n_ways).data
     zq = embed(params, episode.query_x).data
-    d = ad.pairwise_sqdist(zq, protos).data
-    pred = d.argmin(axis=1)
-    return float((pred == episode.query_y).mean())
+    return nearest_prototype_accuracy(prototype_sqdists(zs, zq, episode), episode.query_y)

@@ -20,16 +20,21 @@ from .autodiff import Array, Tape, Tensor
 from .data import (
     Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
 )
-from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
+from .losses import (
+    KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss, prototype_xent,
+)
 from .model import (
     BackboneConfig,
     BoundParams,
     ModelSnapshot,
     ParamStore,
     SnapshotMeta,
+    embed,
     freeze_snapshot,
     init_backbone,
     merge_anchor_sets,
+    nearest_prototype_accuracy,
+    prototype_sqdists,
     score_episode,
 )
 
@@ -168,12 +173,15 @@ class _EpochLog:
 def _validate(
     params: ParamStore, val_ds: Dataset, cfg: TrainConfig, round_index: int, epoch: int
 ) -> tuple[float, float]:
+    """Mean meta loss and accuracy over validation episodes, from one embedding of `val_ds`."""
     rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, epoch])
+    z = embed(params, val_ds.features).data
     losses, accs = [], []
     for _ in range(cfg.val_episodes):
         ep = sample_episode(val_ds, cfg.episode, rng)
-        losses.append(float(meta_xent_loss(params, ep, cfg.temperature)))
-        accs.append(score_episode(params, ep))
+        d = prototype_sqdists(z[ep.support_rows], z[ep.query_rows], ep)
+        losses.append(float(prototype_xent(d, ep.query_y, cfg.temperature)))
+        accs.append(nearest_prototype_accuracy(d, ep.query_y))
     return float(np.mean(losses)), float(np.mean(accs))
 
 
@@ -285,6 +293,10 @@ def train_incremental(
     weights = (cfg.lam_old, cfg.lam_new) if method is MethodKind.EIML else (cfg.lam,)
     need_align = any((cfg.lam if w is None else w) != 0.0 for w in weights)
     k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
+    if need_align and method is MethodKind.IDA and k > len(old.anchors):
+        raise ValueError(
+            f"anchors_per_step is {k} but the teacher stores only {len(old.anchors)} anchors"
+        )
     exemplar_ds = exemplar_spec = None
     if method is MethodKind.EIML and need_align:
         exemplar_ds = exemplars.as_dataset()

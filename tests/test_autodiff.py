@@ -117,6 +117,12 @@ def test_pairwise_sqdist_matches_norm():
     d = ad.pairwise_sqdist(tape.leaf(z), tape.leaf(c))
     want = ((z[:, None, :] - c[None, :, :]) ** 2).sum(-1)
     assert np.allclose(d.data, want, atol=1e-12)
+    # bitwise the broadcast-difference einsum, up to 20-way episode sizes
+    for n, k, f in ((6, 3, 4), (75, 5, 16), (300, 20, 16)):
+        z, c = rng.standard_normal((n, f)), rng.standard_normal((k, f))
+        diff = z[:, None, :] - c[None, :, :]
+        want = np.einsum("ikj,ikj->ik", diff, diff)
+        assert np.array_equal(ad.pairwise_sqdist(z, c).data, want)
 
 
 def test_pairwise_sqdist_equal_rows_exact_zero():

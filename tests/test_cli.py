@@ -1,10 +1,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iml.cli
-from iml.anchorstore import load_snapshot
+from iml.anchorstore import load_snapshot, save_snapshot
 from iml.cli import (
     _SETTINGS,
     CSV_HEADER,
@@ -16,6 +17,7 @@ from iml.cli import (
     parse_config,
     summary_markdown,
 )
+from iml.model import AnchorSet, BackboneConfig, SnapshotMeta, freeze_snapshot, init_backbone
 
 TINY_INI = """\
 [data]
@@ -304,6 +306,22 @@ def test_eval_custom_snapshot_label(tiny_cfg, tmp_path, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert (Path(out) / "reports" / "eval_base.csv").exists()
+
+
+def test_eval_snapshot_dim_mismatch(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", out]) == 0
+    cfg = BackboneConfig(3, (4,), 2)
+    snap = freeze_snapshot(cfg, init_backbone(cfg, 0), AnchorSet((), np.zeros((0, 2))),
+                           SnapshotMeta(0, 0, "base"))
+    path = str(tmp_path / "narrow.imlsnap")
+    save_snapshot(snap, path)
+    capsys.readouterr()
+    code = cmd_dispatch(["eval", "--snapshot", path, "--splits", "old",
+                         "-c", tiny_cfg, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "3-dim inputs" in err and "6-dim" in err
 
 
 def test_eval_rejects_unknown_split(tiny_cfg, tmp_path, capsys):

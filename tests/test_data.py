@@ -259,6 +259,24 @@ def test_sample_episode_deterministic():
     assert e1.class_map == e2.class_map
 
 
+def test_sample_episode_records_rows():
+    ds = gen_synthetic(small_spec())
+    spec = EpisodeSpec(4, 3, 5)
+    for seed in range(20):
+        ep = sample_episode(ds, spec, np.random.default_rng(seed))
+        assert np.array_equal(ds.features[ep.support_rows], ep.support_x)
+        assert np.array_equal(ds.features[ep.query_rows], ep.query_x)
+        assert np.array_equal(ds.labels[ep.support_rows], np.take(ep.class_map, ep.support_y))
+        assert np.array_equal(ds.labels[ep.query_rows], np.take(ep.class_map, ep.query_y))
+        # the draws are those of one class choice, then one row choice per class
+        rng = np.random.default_rng(seed)
+        chosen = rng.choice(np.asarray(ds.classes), size=spec.ways, replace=False)
+        picks = [rng.choice(ds.class_index[int(c)], size=8, replace=False) for c in chosen]
+        assert ep.class_map == tuple(int(c) for c in chosen)
+        assert np.array_equal(ep.support_rows, np.concatenate([p[:3] for p in picks]))
+        assert np.array_equal(ep.query_rows, np.concatenate([p[3:] for p in picks]))
+
+
 def test_episode_all_inputs():
     ds = gen_synthetic(small_spec())
     ep = sample_episode(ds, EpisodeSpec(3, 2, 4), np.random.default_rng(6))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from iml.anchorstore import snapshot_digest
-from iml.data import Dataset, EpisodeSpec, SyntheticSpec, gen_synthetic, uniform_offset
+from iml.data import (
+    Dataset, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, uniform_offset,
+)
 from iml.evaluator import (
     CSV_HEADER,
     EvalReport,
@@ -21,6 +23,7 @@ from iml.model import (
     SnapshotMeta,
     freeze_snapshot,
     init_backbone,
+    score_episode,
 )
 from iml.trainer import TrainConfig, train_base, train_incremental
 
@@ -134,6 +137,30 @@ def test_evaluate_worker_count_does_not_change_result(base_snap, data):
     serial = evaluate(base_snap, data["old_te"], spec, 30, 5, workers=1)
     threaded = evaluate(base_snap, data["old_te"], spec, 30, 5, workers=3)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("ways,shots", [(5, 1), (5, 5), (20, 5)])
+def test_evaluate_matches_per_episode_oracle(base_snap, ways, shots):
+    """Scoring from one embedding table is bitwise re-embedding every episode."""
+    spec = SyntheticSpec(classes_per_domain=10, dim=DIM, cluster_std=0.6,
+                         domain_offset=uniform_offset(1.0, DIM),
+                         samples_per_class=22, seed=4)
+    ds = gen_synthetic(spec, sample_seed=0)
+    ep_spec = EpisodeSpec(ways, shots, 15)
+    accs = [score_episode(base_snap.params,
+                          sample_episode(ds, ep_spec, np.random.default_rng([9, i])))
+            for i in range(12)]
+    mean, half = confidence_interval(accs)
+    rep = evaluate(base_snap, ds, ep_spec, 12, 9)
+    assert rep.mean_acc == mean and rep.ci95 == half
+    assert 0.0 < half
+    assert evaluate(base_snap, ds, ep_spec, 12, 9, workers=2) == rep
+
+
+def test_evaluate_rejects_dim_mismatch(base_snap):
+    ds = Dataset(np.zeros((40, DIM + 3)), np.repeat(np.arange(4), 10), "wide")
+    with pytest.raises(ValueError, match=f"{DIM}-dim inputs.*'wide' is {DIM + 3}-dim"):
+        evaluate(base_snap, ds, EpisodeSpec(3, 1, 2), 5, 0)
 
 
 def test_evaluate_seed_changes_episodes(base_snap, data):

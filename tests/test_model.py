@@ -15,6 +15,7 @@ from iml.model import (
     freeze_snapshot,
     init_backbone,
     merge_anchor_sets,
+    prototype_sqdists,
     score_episode,
 )
 
@@ -102,6 +103,26 @@ def test_prototypes_are_exact_class_means():
         assert np.array_equal(protos.data[c], z[labels == c].mean(axis=0))
 
 
+def test_prototype_sqdists_match_tape_ops():
+    """Bitwise the distances to `compute_prototypes`, labels in any order."""
+    rng = np.random.default_rng(4)
+    for ways, shots in ((2, 1), (5, 5), (20, 5), (7, 3)):
+        sy = rng.permutation(np.repeat(np.arange(ways), shots))
+        zs = rng.standard_normal((ways * shots, 16)) * 10.0 ** rng.uniform(-3, 3)
+        zq = rng.standard_normal((3 * ways, 16))
+        ep = Episode(zs, sy, zq, np.zeros(3 * ways, dtype=np.int64), tuple(range(ways)))
+        want = ad.pairwise_sqdist(zq, compute_prototypes(zs, sy, ways)).data
+        assert np.array_equal(prototype_sqdists(zs, zq, ep), want)
+
+
+def test_prototype_sqdists_needs_equal_classes():
+    z = np.zeros((3, 2))
+    for sy in ([0, 0, 1], [0, 0, 0]):
+        ep = Episode(z, np.array(sy), z, np.array([0, 1, 1]), (5, 6))
+        with pytest.raises(ValueError, match="equally many rows"):
+            prototype_sqdists(z, z, ep)
+
+
 def test_anchor_set_basics():
     a = AnchorSet((3, 7), np.ones((2, 4)))
     assert len(a) == 2
@@ -184,3 +205,4 @@ def test_score_episode_identity_net():
     ps = ParamStore([np.eye(2)], [np.zeros(2)])
     ep = episode_for_scoring()
     assert score_episode(ps, ep) == 1.0
+

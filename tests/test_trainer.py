@@ -12,12 +12,15 @@ from iml.data import (
     reserve_exemplars,
     uniform_offset,
 )
-from iml.losses import MethodKind
-from iml.model import BackboneConfig, ParamStore, init_backbone
+from iml.data import sample_episode
+from iml.losses import MethodKind, meta_xent_loss
+from iml.model import BackboneConfig, ParamStore, init_backbone, score_episode
 from iml.trainer import (
     OptimState,
     TrainConfig,
     TrainingDivergenceError,
+    _VAL_STREAM,
+    _validate,
     adam_step,
     init_optim,
     lr_schedule_update,
@@ -272,6 +275,30 @@ def test_incremental_rejects_nu_and_par():
     for m in (MethodKind.NU, MethodKind.PAR):
         with pytest.raises(ValueError, match="incremental"):
             train_incremental(base, new_tr, new_va, m, small_cfg())
+
+
+def test_validate_matches_per_episode_oracle():
+    """Validation from one embedding table is bitwise re-embedding every episode."""
+    _, old_va, _, _ = domain_data()
+    cfg = small_cfg(val_episodes=12, episode=EpisodeSpec(4, 3, 5))
+    params = init_backbone(cfg.backbone, 2)
+    rng = np.random.default_rng([cfg.seed, _VAL_STREAM, 1, 3])
+    episodes = [sample_episode(old_va, cfg.episode, rng) for _ in range(cfg.val_episodes)]
+    want_loss = float(np.mean([float(meta_xent_loss(params, ep, cfg.temperature))
+                               for ep in episodes]))
+    want_acc = float(np.mean([score_episode(params, ep) for ep in episodes]))
+    assert _validate(params, old_va, cfg, 1, 3) == (want_loss, want_acc)
+
+
+def test_incremental_rejects_too_many_anchors_before_logging(tmp_path):
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    log = tmp_path / "incr.csv"
+    log.write_text("previous run\n")
+    cfg = small_cfg(anchors_per_step=9, log_path=str(log))
+    with pytest.raises(ValueError, match="anchors_per_step is 9 .* only 6 anchors"):
+        train_incremental(base, new_tr, new_va, MethodKind.IDA, cfg)
+    assert log.read_text() == "previous run\n"
 
 
 def test_incremental_rejects_seen_classes():
