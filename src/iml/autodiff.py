@@ -126,7 +126,8 @@ class Tape:
             values = [self.nodes[i].value for i in node.inputs]
             parts = _OPS[node.op].vjp(values, node.aux, node.value, g)
             for i, part in zip(node.inputs, parts):
-                if part is None:
+                # constants never have their gradient read
+                if part is None or self.nodes[i].op == "const":
                     continue
                 if grads[i] is None:
                     grads[i] = np.zeros_like(self.nodes[i].value)
@@ -216,6 +217,39 @@ def _vjp_relu(v, aux, out, g):
     return [g * (v[0] > 0.0)]
 
 
+def _fwd_linear(v, aux):
+    x, w, b = v
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
+    if b.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise ValueError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+    out = x @ w
+    out += b
+    return np.maximum(out, 0.0, out=out) if aux[0] else out
+
+
+def _vjp_linear(v, aux, out, g):
+    x, w, _ = v
+    if aux[0]:
+        # relu output > 0 exactly where its input was; subgradient 0 at the kink
+        g = g * (out > 0.0)
+    return [g @ w.T, x.T @ g, g.sum(axis=0)]
+
+
+def _fwd_row_range(v, aux):
+    (m,) = v
+    start, stop = aux
+    if m.ndim != 2 or not 0 <= start <= stop <= m.shape[0]:
+        raise ValueError(f"row_range: rows [{start}, {stop}) of shape {m.shape}")
+    return m[start:stop]
+
+
+def _vjp_row_range(v, aux, out, g):
+    gm = np.zeros_like(v[0])
+    gm[aux[0]:aux[1]] = g
+    return [gm]
+
+
 def _pair_diffs(z: Array, c: Array) -> Array:
     """d[i, k] = z[i] - c[k]; repeating z lets one subtraction span each (k, F) block."""
     d = np.repeat(z, c.shape[0], axis=0).reshape(z.shape[0], c.shape[0], z.shape[1])
@@ -299,7 +333,7 @@ def _vjp_kl_rows(v, aux, out, g):
 
 def _fwd_rowsel(v, aux):
     (m,) = v
-    idx = np.asarray(aux[0], dtype=np.intp)
+    idx = aux[0]
     if m.ndim != 2 or idx.ndim != 1 or idx.shape[0] != m.shape[0]:
         raise ValueError("take_per_row: need one column index per row")
     if idx.min(initial=0) < 0 or idx.max(initial=-1) >= m.shape[1]:
@@ -309,33 +343,36 @@ def _fwd_rowsel(v, aux):
 
 def _vjp_rowsel(v, aux, out, g):
     (m,) = v
-    idx = np.asarray(aux[0], dtype=np.intp)
     gm = np.zeros_like(m)
-    gm[np.arange(m.shape[0]), idx] = g
+    gm[np.arange(m.shape[0]), aux[0]] = g
     return [gm]
 
 
 def _fwd_cmeans(v, aux):
     (z,) = v
-    labels = np.asarray(aux[0], dtype=np.int64)
-    k = aux[1]
+    labels, k = aux
     if z.ndim != 2 or labels.ndim != 1 or labels.shape[0] != z.shape[0]:
         raise ValueError("class_means: need one label per row")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"class_means: labels must lie in [0, {k})")
+    counts = np.bincount(labels, minlength=k)
+    if counts.min(initial=1) == 0:
+        raise ValueError(f"class_means: class {int(counts.argmin())} has no members")
+    # A stable sort keeps each class's rows in order, so summing each slice
+    # and dividing by its count is bitwise that class's `mean(axis=0)`.
+    grouped = z[np.argsort(labels, kind="stable")]
     out = np.empty((k, z.shape[1]), dtype=np.float64)
-    for c in range(k):
-        rows = z[labels == c]
-        if rows.shape[0] == 0:
-            raise ValueError(f"class_means: class {c} has no members")
-        out[c] = rows.mean(axis=0)
+    start = 0
+    for c, n in enumerate(counts.tolist()):
+        np.add.reduce(grouped[start:start + n], axis=0, out=out[c])
+        start += n
+    out /= counts[:, None]
     return out
 
 
 def _vjp_cmeans(v, aux, out, g):
-    (z,) = v
-    labels = np.asarray(aux[0], dtype=np.int64)
-    counts = np.bincount(labels, minlength=aux[1]).astype(np.float64)
+    labels, k = aux
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
     return [g[labels] / counts[labels][:, None]]
 
 
@@ -365,6 +402,8 @@ _OPS: dict[str, OpSpec] = {
     "scale": OpSpec(_fwd_scale, lambda v, aux, out, g: [g * aux[0]]),
     "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, g: [g, g.sum(axis=0)]),
     "relu": OpSpec(_fwd_relu, _vjp_relu),
+    "linear": OpSpec(_fwd_linear, _vjp_linear),
+    "row_range": OpSpec(_fwd_row_range, _vjp_row_range),
     "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq),
     "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows),
     "softmax_rows": OpSpec(_fwd_softmax_rows, _vjp_softmax_rows),
@@ -411,6 +450,20 @@ def add_rowvec(m, row) -> Tensor:
     return _apply("add_rowvec", (as_tensor(m), as_tensor(row)))
 
 
+def linear(x, w, b, relu: bool = False) -> Tensor:
+    """One dense layer, x @ w + b, optionally through relu, as a single tape node.
+
+    Bitwise equal to ``matmul`` then ``add_rowvec`` (then ``relu``), forward
+    and gradients.
+    """
+    return _apply("linear", (as_tensor(x), as_tensor(w), as_tensor(b)), (bool(relu),))
+
+
+def row_range(m, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of a matrix; the gradient is zero outside them."""
+    return _apply("row_range", (as_tensor(m),), (int(start), int(stop)))
+
+
 def pairwise_sqdist(z, c) -> Tensor:
     """All squared Euclidean distances between rows of z and rows of c."""
     return _apply("pairwise_sqdist", (as_tensor(z), as_tensor(c)))
@@ -429,16 +482,18 @@ def kl_div_rows(p, q) -> Tensor:
     return _apply("kl_div_rows", (as_tensor(p), as_tensor(q)))
 
 
+# The index ops keep a private integer copy of their indices, so a caller
+# editing its array between forward and backward cannot change the tape.
+
+
 def take_per_row(m, indices) -> Tensor:
-    return _apply("take_per_row", (as_tensor(m),), (tuple(int(i) for i in indices),))
+    return _apply("take_per_row", (as_tensor(m),), (np.array(indices, dtype=np.intp),))
 
 
 def class_means(z, labels, n_classes: int) -> Tensor:
     """Per-class mean of rows of z grouped by integer labels 0..n_classes-1."""
     return _apply(
-        "class_means",
-        (as_tensor(z),),
-        (tuple(int(i) for i in labels), int(n_classes)),
+        "class_means", (as_tensor(z),), (np.array(labels, dtype=np.intp), int(n_classes))
     )
 
 

@@ -48,11 +48,19 @@ KL_ORDERS = ("student_first", "teacher_first")
 
 @dataclass(frozen=True)
 class AlignAux:
-    """Per-step side inputs the alignment terms need."""
+    """Per-step side inputs the alignment terms need.
+
+    ``teacher_z`` and ``exemplar_teacher_z`` are the frozen teacher's
+    embeddings of ``episode.all_inputs()`` and of
+    ``exemplar_episode.all_inputs()``, typically gathered from a table
+    embedded once per round.  When unset, the objective embeds those rows
+    through the teacher itself.
+    """
 
     anchors: AnchorSet | None = None
-    batch: Array | None = None
     exemplar_episode: Episode | None = None
+    teacher_z: Array | None = None
+    exemplar_teacher_z: Array | None = None
 
 
 @dataclass
@@ -75,21 +83,18 @@ class LossBreakdown:
     lam_new: float | None = None
 
 
-def query_sqdists(params: ParamStore | BoundParams, episode: Episode) -> tuple[Tensor, Array]:
-    """Squared distances from query embeddings to support prototypes."""
-    zs = embed(params, episode.support_x)
-    protos = compute_prototypes(zs, episode.support_y, episode.n_ways)
-    zq = embed(params, episode.query_x)
-    return ad.pairwise_sqdist(zq, protos), episode.query_y
+# ---- cores: each formula once, on embeddings of the rows it scores ----
 
 
-def meta_xent_loss(
-    params: ParamStore | BoundParams, episode: Episode, temperature: float
-) -> Tensor:
-    """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return prototype_xent(*query_sqdists(params, episode), temperature)
+def episode_sqdists(z, episode: Episode) -> Tensor:
+    """Query-to-prototype squared distances from one embedding of ``episode.all_inputs()``.
+
+    Support rows come first; both row ranges are taken from `z`, so on a
+    tape one embedding serves prototypes and queries.
+    """
+    n = len(episode.support_y)
+    protos = compute_prototypes(ad.row_range(z, 0, n), episode.support_y, episode.n_ways)
+    return ad.pairwise_sqdist(ad.row_range(z, n, z.shape[0]), protos)
 
 
 def prototype_xent(d, y, temperature: float) -> Tensor:
@@ -97,9 +102,75 @@ def prototype_xent(d, y, temperature: float) -> Tensor:
 
     `d` holds query-to-prototype squared distances, on a tape or as a plain array.
     """
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     pull = ad.scale(ad.take_per_row(d, y), 1.0 / temperature)
     spread = ad.logsumexp_rows(ad.scale(d, -1.0 / temperature))
     return ad.tmean(ad.add(pull, spread))
+
+
+def ida_kl(
+    z, z_teacher: Array, anchors: AnchorSet, temperature: float,
+    kl_order: str = "student_first",
+) -> Tensor:
+    """Mean KL between the posteriors over `anchors` of `z` and of the teacher's `z_teacher`.
+
+    The teacher side is a constant.  ``kl_order`` picks which distribution
+    is the KL's first argument.
+    """
+    if kl_order not in KL_ORDERS:
+        raise ValueError(f"kl_order must be one of {KL_ORDERS}, got {kl_order!r}")
+    if len(anchors) == 0:
+        raise ValueError("anchor subset is empty")
+    student = discriminant(z, anchors, temperature)
+    teacher = discriminant(z_teacher, anchors, temperature)
+    if kl_order == "student_first":
+        p, q = student, teacher
+    else:
+        p, q = teacher, student
+    return ad.tmean(ad.kl_div_rows(p, q))
+
+
+def feature_drift(z, z_teacher: Array) -> Tensor:
+    """Mean over rows of the squared L2 distance between `z` and the teacher's `z_teacher`."""
+    diff = ad.sub(z, ad.constant(z_teacher))
+    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / z_teacher.shape[0])
+
+
+def exemplar_kl(z, z_teacher: Array, exemplar_episode: Episode, temperature: float) -> Tensor:
+    """EIML's align_old from both models' embeddings of ``exemplar_episode.all_inputs()``.
+
+    Each model scores the exemplar queries against prototypes recomputed
+    from its own embedding of the exemplar support; the teacher's
+    posterior is the KL's first argument.
+    """
+    d_teacher = episode_sqdists(z_teacher, exemplar_episode)
+    d_student = episode_sqdists(z, exemplar_episode)
+    p_teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
+    p_student = ad.softmax_rows(ad.scale(d_student, -1.0), temperature)
+    return ad.tmean(ad.kl_div_rows(p_teacher, p_student))
+
+
+# ---- public losses: embed, then call the core ----
+
+
+def _alignment_batch(batch_x: Array) -> Array:
+    batch_x = np.asarray(batch_x, dtype=np.float64)
+    if batch_x.ndim != 2 or batch_x.shape[0] == 0:
+        raise ValueError("alignment batch must be a non-empty 2-D array")
+    return batch_x
+
+
+def query_sqdists(params: ParamStore | BoundParams, episode: Episode) -> tuple[Tensor, Array]:
+    """Squared distances from query embeddings to support prototypes."""
+    return episode_sqdists(embed(params, episode.all_inputs()), episode), episode.query_y
+
+
+def meta_xent_loss(
+    params: ParamStore | BoundParams, episode: Episode, temperature: float
+) -> Tensor:
+    """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T)."""
+    return prototype_xent(*query_sqdists(params, episode), temperature)
 
 
 def ida_loss(
@@ -116,33 +187,17 @@ def ida_loss(
     receives gradients.  ``kl_order`` picks which distribution is the KL's
     first argument.
     """
-    if kl_order not in KL_ORDERS:
-        raise ValueError(f"kl_order must be one of {KL_ORDERS}, got {kl_order!r}")
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim != 2 or batch_x.shape[0] == 0:
-        raise ValueError("alignment batch must be a non-empty 2-D array")
-    if len(anchor_subset) == 0:
-        raise ValueError("anchor subset is empty")
-    student = discriminant(embed(new_params, batch_x), anchor_subset, temperature)
-    teacher = discriminant(embed(old.params, batch_x), anchor_subset, temperature)
-    if kl_order == "student_first":
-        p, q = student, teacher
-    else:
-        p, q = teacher, student
-    return ad.tmean(ad.kl_div_rows(p, q))
+    batch_x = _alignment_batch(batch_x)
+    return ida_kl(embed(new_params, batch_x), embed(old.params, batch_x).data,
+                  anchor_subset, temperature, kl_order)
 
 
 def dfa_loss(
     old: ModelSnapshot, new_params: ParamStore | BoundParams, batch_x: Array
 ) -> Tensor:
     """Mean squared L2 distance between updated and frozen embeddings."""
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim != 2 or batch_x.shape[0] == 0:
-        raise ValueError("alignment batch must be a non-empty 2-D array")
-    z_new = embed(new_params, batch_x)
-    z_old = embed(old.params, batch_x)
-    diff = ad.sub(z_new, ad.constant(z_old.data))
-    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / batch_x.shape[0])
+    batch_x = _alignment_batch(batch_x)
+    return feature_drift(embed(new_params, batch_x), embed(old.params, batch_x).data)
 
 
 def eiml_loss(
@@ -165,15 +220,17 @@ def eiml_loss(
     anchor subset fixed to the stored anchors of the exemplar episode's
     classes.
     """
-    d_teacher, _ = query_sqdists(old.params, exemplar_episode)
-    d_student, _ = query_sqdists(new_params, exemplar_episode)
-    p_teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
-    p_student = ad.softmax_rows(ad.scale(d_student, -1.0), temperature)
-    align_old = ad.tmean(ad.kl_div_rows(p_teacher, p_student))
-
+    x = exemplar_episode.all_inputs()
+    align_old = exemplar_kl(embed(new_params, x), embed(old.params, x).data,
+                            exemplar_episode, temperature)
     anchors = old.anchors.restrict(exemplar_episode.class_map)
     align_new = ida_loss(old, new_params, batch_x, anchors, temperature, kl_order)
     return align_old, align_new
+
+
+def _teacher_z(old: ModelSnapshot, rows: Array | None, episode: Episode) -> Array:
+    """The teacher's embedding of ``episode.all_inputs()``: `rows` when given."""
+    return rows if rows is not None else embed(old.params, episode.all_inputs()).data
 
 
 def incremental_objective(
@@ -190,13 +247,16 @@ def incremental_objective(
 ) -> LossBreakdown:
     """Episodic cross-entropy plus the method's weighted alignment term.
 
-    With a zero weight the alignment branch is skipped outright, so the
-    total *is* the meta term, bitwise.
+    The episode's inputs are embedded once, and the meta term and the
+    alignment term both read that embedding; the teacher's side comes from
+    `aux` when given.  With a zero weight the alignment branch is skipped
+    outright, so the total *is* the meta term, bitwise.
     """
     method = MethodKind(method)
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    meta = meta_xent_loss(new_params, episode, temperature)
+    z = embed(new_params, episode.all_inputs())
+    meta = prototype_xent(episode_sqdists(z, episode), episode.query_y, temperature)
     zero = ad.constant(0.0)
 
     if method in (MethodKind.NU, MethodKind.FT, MethodKind.PAR):
@@ -211,26 +271,27 @@ def incremental_objective(
             return LossBreakdown(method, meta, meta, None, lam, zero, zero, lo, ln)
         if old is None:
             raise ValueError("eiml needs a frozen teacher snapshot")
-        if aux.exemplar_episode is None:
+        ex = aux.exemplar_episode
+        if ex is None:
             raise ValueError("eiml needs an exemplar episode in aux")
-        batch = aux.batch if aux.batch is not None else episode.all_inputs()
-        a_old, a_new = eiml_loss(
-            old, new_params, aux.exemplar_episode, batch, temperature, kl_order
-        )
+        a_old = exemplar_kl(embed(new_params, ex.all_inputs()),
+                            _teacher_z(old, aux.exemplar_teacher_z, ex), ex, temperature)
+        a_new = ida_kl(z, _teacher_z(old, aux.teacher_z, episode),
+                       old.anchors.restrict(ex.class_map), temperature, kl_order)
         total = ad.add(ad.add(meta, ad.scale(a_old, lo)), ad.scale(a_new, ln))
         return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln)
 
-    # ida / dfa
+    # ida / dfa, both on the episode's own rows
     if lam == 0.0:
         return LossBreakdown(method, meta, meta, zero, lam)
     if old is None:
         raise ValueError(f"{method.value} needs a frozen teacher snapshot")
-    batch = aux.batch if aux.batch is not None else episode.all_inputs()
     if method is MethodKind.IDA:
         if aux.anchors is None:
             raise ValueError("ida needs an anchor subset in aux")
-        align = ida_loss(old, new_params, batch, aux.anchors, temperature, kl_order)
+        align = ida_kl(z, _teacher_z(old, aux.teacher_z, episode), aux.anchors,
+                       temperature, kl_order)
     else:
-        align = dfa_loss(old, new_params, batch)
+        align = feature_drift(z, _teacher_z(old, aux.teacher_z, episode))
     total = ad.add(meta, ad.scale(align, lam))
     return LossBreakdown(method, total, meta, align, lam)

@@ -117,9 +117,7 @@ def embed(params: ParamStore | BoundParams, x) -> Tensor:
     n = params.n_layers
     for i in range(n):
         w, b = _layer(params, i)
-        t = ad.add_rowvec(ad.matmul(t, w), b)
-        if i < n - 1:
-            t = ad.relu(t)
+        t = ad.linear(t, w, b, relu=i < n - 1)
     return t
 
 
@@ -247,6 +245,8 @@ def nearest_prototype_accuracy(d: Array, query_y) -> float:
 
 def score_episode(params: ParamStore, episode) -> float:
     """Fraction of query points whose nearest support prototype has the right label."""
-    zs = embed(params, episode.support_x).data
-    zq = embed(params, episode.query_x).data
-    return nearest_prototype_accuracy(prototype_sqdists(zs, zq, episode), episode.query_y)
+    z = embed(params, episode.all_inputs()).data
+    n = len(episode.support_x)
+    return nearest_prototype_accuracy(
+        prototype_sqdists(z[:n], z[n:], episode), episode.query_y
+    )

@@ -19,6 +19,7 @@ from .anchorstore import extract_anchors
 from .autodiff import Array, Tape, Tensor
 from .data import (
     Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
+    write_text_atomic,
 )
 from .losses import (
     KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss, prototype_xent,
@@ -156,18 +157,24 @@ def lr_schedule_update(state: OptimState, val_metric: float, cfg: TrainConfig) -
 
 
 class _EpochLog:
-    """CSV lines `epoch,split,loss,acc,lr`; overwrites any previous log."""
+    """CSV lines `epoch,split,loss,acc,lr`; overwrites any previous log.
+
+    Every write replaces the whole file atomically, so the file on disk is
+    always a complete log: the previous run's, or this run's up to its last
+    row.
+    """
 
     def __init__(self, path: str | None):
         self.path = Path(path) if path else None
+        self.lines = ["epoch,split,loss,acc,lr\n"]
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("epoch,split,loss,acc,lr\n")
+            write_text_atomic(self.path, self.lines[0])
 
     def row(self, epoch: int, split: str, loss: float, acc: float, lr: float) -> None:
         if self.path:
-            with self.path.open("a") as f:
-                f.write(f"{epoch},{split},{loss:.6f},{acc:.4f},{lr:.8g}\n")
+            self.lines.append(f"{epoch},{split},{loss:.6f},{acc:.4f},{lr:.8g}\n")
+            write_text_atomic(self.path, "".join(self.lines))
 
 
 def _validate(
@@ -183,6 +190,11 @@ def _validate(
         losses.append(float(prototype_xent(d, ep.query_y, cfg.temperature)))
         accs.append(nearest_prototype_accuracy(d, ep.query_y))
     return float(np.mean(losses)), float(np.mean(accs))
+
+
+def _episode_rows(table: Array, ep: Episode) -> Array:
+    """Rows of a per-row table for ``ep.all_inputs()``: support rows, then query rows."""
+    return table[np.concatenate((ep.support_rows, ep.query_rows))]
 
 
 def _exemplar_episode_spec(cfg: TrainConfig, exemplar_ds: Dataset) -> EpisodeSpec:
@@ -291,7 +303,9 @@ def train_incremental(
 
     # eiml's unset weights fall back to lam, as in incremental_objective
     weights = (cfg.lam_old, cfg.lam_new) if method is MethodKind.EIML else (cfg.lam,)
-    need_align = any((cfg.lam if w is None else w) != 0.0 for w in weights)
+    need_align = method is not MethodKind.FT and any(
+        (cfg.lam if w is None else w) != 0.0 for w in weights
+    )
     k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
     if need_align and method is MethodKind.IDA and k > len(old.anchors):
         raise ValueError(
@@ -301,13 +315,26 @@ def train_incremental(
     if method is MethodKind.EIML and need_align:
         exemplar_ds = exemplars.as_dataset()
         exemplar_spec = _exemplar_episode_spec(cfg, exemplar_ds)
+    # The teacher is frozen, so its embedding of a row never changes: embed
+    # each table once per round and gather every step's rows from it.
+    teacher_z = embed(old.params, new_ds.features).data if need_align else None
+    exemplar_teacher_z = (
+        embed(old.params, exemplar_ds.features).data if exemplar_ds is not None else None
+    )
 
     def objective(bound, ep):
         aux = AlignAux()
-        if need_align and method is MethodKind.IDA:
-            aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng))
-        elif need_align and method is MethodKind.EIML:
-            aux = AlignAux(exemplar_episode=sample_episode(exemplar_ds, exemplar_spec, ex_rng))
+        if need_align:
+            teacher = _episode_rows(teacher_z, ep)
+            if method is MethodKind.IDA:
+                aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng),
+                               teacher_z=teacher)
+            elif method is MethodKind.EIML:
+                ex = sample_episode(exemplar_ds, exemplar_spec, ex_rng)
+                aux = AlignAux(exemplar_episode=ex, teacher_z=teacher,
+                               exemplar_teacher_z=_episode_rows(exemplar_teacher_z, ex))
+            else:
+                aux = AlignAux(teacher_z=teacher)
         return incremental_objective(
             method, old, bound, ep, aux,
             cfg.lam, cfg.temperature, cfg.kl_order, cfg.lam_old, cfg.lam_new,

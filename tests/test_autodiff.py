@@ -260,6 +260,13 @@ def test_class_means_exact():
     out = ad.class_means(tape.leaf(z), labels, 3)
     for c in range(3):
         assert np.array_equal(out.data[c], z[labels == c].mean(axis=0))
+    # shuffled labels with unequal counts, 1 to 40 rows per class
+    for k in (2, 5, 20):
+        labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 41, size=k)))
+        z = rng.standard_normal((labels.size, 16)) * 10.0 ** rng.integers(-3, 4)
+        out = ad.class_means(z, labels, k).data
+        for c in range(k):
+            assert np.array_equal(out[c], z[labels == c].mean(axis=0)), (k, c)
 
 
 def test_class_means_missing_class():
@@ -313,6 +320,66 @@ def test_grads_add_rowvec():
     r = rng.standard_normal(3)
     check(lambda ls: ad.tmean(ad.mul(ad.add_rowvec(ls[0], ls[1]),
                                      ad.add_rowvec(ls[0], ls[1]))), [m, r])
+
+
+def test_linear_matches_unfused_layer_bitwise():
+    """The fused layer equals matmul -> add_rowvec (-> relu) bit for bit, values and gradients."""
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((7, 5))
+    w = rng.standard_normal((5, 4))
+    b = rng.standard_normal(4)
+    b[0] = -50.0  # one column entirely below the relu kink
+    r = rng.standard_normal((7, 4))  # weights that make the loss use every output
+
+    def layer(relu, fused):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in (x, w, b)]
+        if fused:
+            out = ad.linear(*leaves, relu=relu)
+        else:
+            out = ad.add_rowvec(ad.matmul(leaves[0], leaves[1]), leaves[2])
+            out = ad.relu(out) if relu else out
+        grads = tape.backward(ad.tsum(ad.mul(out, ad.constant(r))), [t.node for t in leaves])
+        return [out.data] + [grads[t.node] for t in leaves]
+
+    for relu in (False, True):
+        for got, want in zip(layer(relu, True), layer(relu, False)):
+            assert np.array_equal(got, want), relu
+
+
+def test_grads_linear():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((6, 3))
+    w = rng.standard_normal((3, 4))
+    b = rng.standard_normal(4)
+    for relu in (False, True):
+        # tmean of a square keeps the gradient away from a constant
+        check(lambda ls: ad.tmean(ad.mul(ad.linear(ls[0], ls[1], ls[2], relu=relu),
+                                         ad.linear(ls[0], ls[1], ls[2], relu=relu))),
+              [x, w, b])
+
+
+def test_linear_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="incompatible"):
+        ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
+    with pytest.raises(ValueError, match="bias"):
+        ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
+
+
+def test_row_range_values_and_grads():
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((7, 3))
+    tape = ad.Tape()
+    leaf = tape.leaf(m)
+    top, rest = ad.row_range(leaf, 0, 3), ad.row_range(leaf, 3, 7)
+    assert np.array_equal(top.data, m[:3]) and np.array_equal(rest.data, m[3:])
+    grads = tape.backward(ad.tsum(top), [leaf.node])
+    assert np.array_equal(grads[leaf.node], np.vstack([np.ones((3, 3)), np.zeros((4, 3))]))
+    # two ranges of one matrix, combined nonlinearly
+    check(lambda ls: ad.tmean(ad.pairwise_sqdist(ad.row_range(ls[0], 0, 3),
+                                                 ad.row_range(ls[0], 2, 7))), [m])
+    with pytest.raises(ValueError, match="row_range"):
+        ad.row_range(m, 5, 8)
 
 
 def test_grads_pairwise_sqdist():

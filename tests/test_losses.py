@@ -21,6 +21,7 @@ from iml.model import (
     BoundParams,
     ParamStore,
     SnapshotMeta,
+    embed,
     freeze_snapshot,
     init_backbone,
 )
@@ -231,22 +232,27 @@ def test_objective_nu_and_par_same_shape():
         assert br.method == m
 
 
+def teacher_rows(old, ep):
+    """The teacher's embedding of the episode's rows, as a per-round table would give them."""
+    return embed(old.params, ep.all_inputs()).data
+
+
 def test_objective_ida_lambda_zero_short_circuits():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 2)
-    aux = AlignAux(anchors=old.anchors, batch=batch)
+    aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, ep))
     br = incremental_objective(MethodKind.IDA, old, student, ep, aux, 0.0, 2.0)
     assert br.total is br.meta_ce
     assert br.lam == 0.0
 
 
 def test_objective_ida_composition():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 3)
-    aux = AlignAux(anchors=old.anchors, batch=batch)
+    aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, ep))
     br = incremental_objective(MethodKind.IDA, old, student, ep, aux, 2.0, 2.0)
     meta = float(meta_xent_loss(student, ep, 2.0))
-    align = float(ida_loss(old, student, batch, old.anchors, 2.0))
+    align = float(ida_loss(old, student, ep.all_inputs(), old.anchors, 2.0))
     assert abs(float(br.total) - (meta + 2.0 * align)) < 1e-12
     assert float(br.align) == align
 
@@ -261,63 +267,94 @@ def test_objective_ida_batch_defaults_to_episode_inputs():
 
 
 def test_objective_ida_requires_anchors():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     with pytest.raises(ValueError, match="anchor"):
         incremental_objective(MethodKind.IDA, old, init_backbone(cfg, 5), ep,
-                              AlignAux(batch=batch), 1.0, 2.0)
+                              AlignAux(teacher_z=teacher_rows(old, ep)), 1.0, 2.0)
 
 
 def test_objective_dfa_composition():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 6)
     br = incremental_objective(MethodKind.DFA, old, student, ep,
-                               AlignAux(batch=batch), 0.5, 2.0)
+                               AlignAux(teacher_z=teacher_rows(old, ep)), 0.5, 2.0)
     meta = float(meta_xent_loss(student, ep, 2.0))
-    align = float(dfa_loss(old, student, batch))
+    align = float(dfa_loss(old, student, ep.all_inputs()))
     assert abs(float(br.total) - (meta + 0.5 * align)) < 1e-12
+    assert float(br.align) == align
+    default = incremental_objective(MethodKind.DFA, old, student, ep, AlignAux(), 0.5, 2.0)
+    assert float(default.align) == align
+
+
+def eiml_aux(old, task, ex):
+    return AlignAux(exemplar_episode=ex, teacher_z=teacher_rows(old, task),
+                    exemplar_teacher_z=teacher_rows(old, ex))
 
 
 def test_objective_eiml_composition_and_defaults():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 7)
-    aux = AlignAux(batch=batch, exemplar_episode=ep)
-    br = incremental_objective(MethodKind.EIML, old, student, synthetic_episode(2),
-                               aux, 1.5, 2.0)
+    task = synthetic_episode(2)
+    br = incremental_objective(MethodKind.EIML, old, student, task,
+                               eiml_aux(old, task, ep), 1.5, 2.0)
     # lam_old and lam_new default to lam
     assert br.lam_old == 1.5 and br.lam_new == 1.5
-    a_old, a_new = eiml_loss(old, student, ep, batch, 2.0)
-    meta = float(meta_xent_loss(student, synthetic_episode(2), 2.0))
+    a_old, a_new = eiml_loss(old, student, ep, task.all_inputs(), 2.0)
+    meta = float(meta_xent_loss(student, task, 2.0))
     want = meta + 1.5 * float(a_old) + 1.5 * float(a_new)
     assert abs(float(br.total) - want) < 1e-12
     assert br.align_old is not None and br.align_new is not None
+    assert float(br.align_old) == float(a_old)
+    assert float(br.align_new) == float(a_new)
+    # without teacher rows the objective embeds through the teacher itself
+    default = incremental_objective(MethodKind.EIML, old, student, task,
+                                    AlignAux(exemplar_episode=ep), 1.5, 2.0)
+    assert float(default.total) == float(br.total)
 
 
 def test_objective_eiml_split_weights():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 8)
-    aux = AlignAux(batch=batch, exemplar_episode=ep)
-    br = incremental_objective(MethodKind.EIML, old, student, synthetic_episode(2),
-                               aux, 1.0, 2.0, lam_old=0.25, lam_new=3.0)
-    a_old, a_new = eiml_loss(old, student, ep, batch, 2.0)
-    meta = float(meta_xent_loss(student, synthetic_episode(2), 2.0))
+    task = synthetic_episode(2)
+    br = incremental_objective(MethodKind.EIML, old, student, task,
+                               eiml_aux(old, task, ep), 1.0, 2.0, lam_old=0.25, lam_new=3.0)
+    a_old, a_new = eiml_loss(old, student, ep, task.all_inputs(), 2.0)
+    meta = float(meta_xent_loss(student, task, 2.0))
     want = meta + 0.25 * float(a_old) + 3.0 * float(a_new)
     assert abs(float(br.total) - want) < 1e-12
 
 
 def test_objective_eiml_requires_exemplar_episode():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     with pytest.raises(ValueError, match="exemplar"):
         incremental_objective(MethodKind.EIML, old, init_backbone(cfg, 9), ep,
-                              AlignAux(batch=batch), 1.0, 2.0)
+                              AlignAux(teacher_z=teacher_rows(old, ep)), 1.0, 2.0)
 
 
 def test_objective_eiml_both_zero_short_circuits():
-    old, ep, batch, cfg = eiml_fixture()
+    old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 9)
-    aux = AlignAux(batch=batch, exemplar_episode=ep)
-    br = incremental_objective(MethodKind.EIML, old, student, synthetic_episode(2),
-                               aux, 0.0, 2.0)
+    task = synthetic_episode(2)
+    br = incremental_objective(MethodKind.EIML, old, student, task,
+                               eiml_aux(old, task, ep), 0.0, 2.0)
     assert br.total is br.meta_ce
+
+
+def test_objective_student_embeds_once_per_episode():
+    """One tape embedding of the stacked episode serves the meta and alignment terms."""
+    old, ep, _, cfg = eiml_fixture()
+    student = init_backbone(cfg, 10)
+    task = synthetic_episode(2)
+    want = {MethodKind.FT: 1, MethodKind.DFA: 1, MethodKind.IDA: 1, MethodKind.EIML: 2}
+    for method, calls in want.items():
+        tape = ad.Tape()
+        bound = student.bind(tape)
+        aux = eiml_aux(old, task, ep)
+        if method is MethodKind.IDA:
+            aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, task))
+        incremental_objective(method, old, bound, task, aux, 1.0, 2.0)
+        layers = sum(n.op == "linear" for n in tape.nodes)
+        assert layers == calls * (len(cfg.dims) - 1), method
 
 
 def test_objective_accepts_method_strings():

@@ -1,8 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import iml.losses
+import iml.trainer
 from iml.anchorstore import snapshot_digest
 from iml.data import (
     Dataset,
@@ -14,9 +17,10 @@ from iml.data import (
 )
 from iml.data import sample_episode
 from iml.losses import MethodKind, meta_xent_loss
-from iml.model import BackboneConfig, ParamStore, init_backbone, score_episode
+from iml.model import BackboneConfig, ParamStore, embed, init_backbone, score_episode
 from iml.trainer import (
     OptimState,
+    _EpochLog,
     TrainConfig,
     TrainingDivergenceError,
     _VAL_STREAM,
@@ -299,6 +303,93 @@ def test_incremental_rejects_too_many_anchors_before_logging(tmp_path):
     with pytest.raises(ValueError, match="anchors_per_step is 9 .* only 6 anchors"):
         train_incremental(base, new_tr, new_va, MethodKind.IDA, cfg)
     assert log.read_text() == "previous run\n"
+
+
+def test_epoch_log_failed_rename_keeps_previous_log(tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    log = _EpochLog(str(path))
+    log.row(0, "train", 1.25, 0.5, 1e-3)
+    before = path.read_bytes()
+    assert before == b"epoch,split,loss,acc,lr\n0,train,1.250000,0.5000,0.001\n"
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        log.row(0, "val", 1.5, 0.25, 1e-3)
+    assert path.read_bytes() == before
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["log.csv"]
+
+
+def spy_objective(monkeypatch):
+    """Record (episode, aux) of every training step's objective call."""
+    calls = []
+    real = iml.trainer.incremental_objective
+
+    def spy(method, old, params, episode, aux, *args, **kwargs):
+        calls.append((episode, aux))
+        return real(method, old, params, episode, aux, *args, **kwargs)
+
+    monkeypatch.setattr(iml.trainer, "incremental_objective", spy)
+    return calls
+
+
+def test_gathered_teacher_rows_equal_teacher_embedding(monkeypatch):
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    ex = reserve_exemplars(old_tr, 6, np.random.default_rng(0))
+    for method in (MethodKind.DFA, MethodKind.IDA, MethodKind.EIML):
+        calls = spy_objective(monkeypatch)
+        train_incremental(base, new_tr, new_va, method, small_cfg(), exemplars=ex)
+        assert len(calls) == small_cfg().epochs * small_cfg().tasks_per_epoch
+        for ep, aux in calls:
+            want = embed(base.params, ep.all_inputs()).data
+            assert np.array_equal(aux.teacher_z, want), method
+            if method is MethodKind.EIML:
+                want = embed(base.params, aux.exemplar_episode.all_inputs()).data
+                assert np.array_equal(aux.exemplar_teacher_z, want)
+            else:
+                assert aux.exemplar_teacher_z is None
+
+
+def test_teacher_embedded_once_per_round_per_table(monkeypatch):
+    old_tr, old_va, new_tr, new_va = domain_data(classes=8)
+    base = train_base(old_tr, old_va, small_cfg())
+    teachers = [base]
+    calls = []
+
+    def counting(params, x):
+        if any(params is t.params for t in teachers):
+            calls.append(params)
+        return embed(params, x)
+
+    for module in (iml.trainer, iml.losses):
+        monkeypatch.setattr(module, "embed", counting)
+    ex = reserve_exemplars(old_tr, 6, np.random.default_rng(0))
+    # ft has no alignment; eiml's second table holds the exemplar rows
+    tables = {MethodKind.FT: 0, MethodKind.DFA: 1, MethodKind.IDA: 1, MethodKind.EIML: 2}
+    for method, n in tables.items():
+        calls.clear()
+        train_incremental(base, new_tr, new_va, method, small_cfg(), exemplars=ex)
+        assert len(calls) == n, method
+    calls.clear()
+    train_incremental(base, new_tr, new_va, MethodKind.IDA, small_cfg(lam=0.0))
+    assert calls == []
+
+    # in a chain, each round embeds its own teacher, the previous round's snapshot, once
+    b = new_tr.classes
+    rounds = [new_tr.subset_classes(b[:4], "r1"), new_tr.subset_classes(b[4:], "r2")]
+    real_train = iml.trainer.train_incremental
+
+    def remember_teacher(old, *args, **kwargs):
+        teachers.append(old)
+        return real_train(old, *args, **kwargs)
+
+    monkeypatch.setattr(iml.trainer, "train_incremental", remember_teacher)
+    calls.clear()
+    chain = run_rounds(base, rounds, MethodKind.IDA, small_cfg())
+    assert calls == [base.params, chain[0].params]
 
 
 def test_incremental_rejects_seen_classes():
