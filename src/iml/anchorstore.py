@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, write_text_atomic
-from .model import AnchorSet, BackboneConfig, ModelSnapshot, ParamStore, SnapshotMeta, embed
+from .model import (
+    AnchorSet, BackboneConfig, ModelSnapshot, ParamStore, SnapshotMeta, embed, freeze_snapshot,
+)
 
 SNAPSHOT_VERSION = 1
 
@@ -121,11 +123,15 @@ def load_snapshot(path) -> ModelSnapshot:
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     arrays, offset = [], 0
     for shape, cnt in zip(param_shapes + [anchor_shape], counts):
-        arrays.append(flat[offset : offset + cnt].reshape(shape).copy())
+        arrays.append(flat[offset : offset + cnt].reshape(shape))
         offset += cnt
     try:
-        params = ParamStore(arrays[0:-1:2], arrays[1:-1:2])
-        anchors = AnchorSet(tuple(anchor_ids), arrays[-1], round_tag)
+        # freeze_snapshot checks the payload's shapes against the header's dims
+        return freeze_snapshot(
+            config,
+            ParamStore(arrays[0:-1:2], arrays[1:-1:2]),
+            AnchorSet(tuple(anchor_ids), arrays[-1], round_tag),
+            meta,
+        )
     except ValueError as e:
         raise SnapshotCorruptError(f"{path}: inconsistent shapes ({e})") from e
-    return ModelSnapshot(config, params, anchors, meta)

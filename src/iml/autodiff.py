@@ -8,8 +8,9 @@ list: node ids are list positions, so the list order *is* a topological
 order and :meth:`Tape.backward` is one reverse sweep.
 
 Each primitive op is a (forward, vjp) pair of pure functions registered
-in ``_OPS``; nodes store only the op name, input ids, saved output and
-static auxiliary data.
+in ``_OPS``; nodes store only the op name, input ids, which inputs are
+tape nodes (and so need a gradient), saved output and static auxiliary
+data.  A vjp may return ``None`` for an input that needs no gradient.
 """
 from __future__ import annotations
 
@@ -70,12 +71,14 @@ class Node:
     inputs: tuple[int, ...]
     value: Array
     aux: tuple = ()
+    needs: tuple[bool, ...] = ()  # per input: is it a tape node (not a constant)?
 
 
 @dataclass(frozen=True)
 class OpSpec:
     fwd: Callable[[list[Array], tuple], Array]
-    vjp: Callable[[list[Array], tuple, Array, Array], list["Array | None"]]
+    # (values, aux, out, g, needs) -> one gradient per input, None where not needed
+    vjp: Callable[[list[Array], tuple, Array, Array, tuple[bool, ...]], list["Array | None"]]
 
 
 class Tape:
@@ -102,7 +105,8 @@ class Tape:
 
         Returns one gradient per requested leaf id; leaves the loss never
         touched get explicit zeros.  Accumulation order is the fixed
-        reverse tape order, so repeated calls are bit-identical.
+        reverse tape order, so repeated calls are bit-identical.  Returned
+        arrays may share memory with each other: treat them as read-only.
         """
         if loss.tape is not self or loss.node is None:
             raise ValueError("loss is not recorded on this tape")
@@ -121,17 +125,15 @@ class Tape:
             if g is None:
                 continue
             node = self.nodes[nid]
-            if node.op in ("leaf", "const"):
+            if not node.inputs:  # leaf or const
                 continue
             values = [self.nodes[i].value for i in node.inputs]
-            parts = _OPS[node.op].vjp(values, node.aux, node.value, g)
-            for i, part in zip(node.inputs, parts):
-                # constants never have their gradient read
-                if part is None or self.nodes[i].op == "const":
-                    continue
-                if grads[i] is None:
-                    grads[i] = np.zeros_like(self.nodes[i].value)
-                grads[i] += part
+            parts = _OPS[node.op].vjp(values, node.aux, node.value, g, node.needs)
+            for i, need, part in zip(node.inputs, node.needs, parts):
+                # constants never have their gradient read; parts may alias
+                # each other (`add` returns [g, g]), so sum out of place
+                if need and part is not None:
+                    grads[i] = part if grads[i] is None else grads[i] + part
         return {
             pid: (
                 grads[pid]
@@ -153,11 +155,9 @@ def _apply(op: str, tensors: Sequence[Tensor], aux: tuple = ()) -> Tensor:
     out = _OPS[op].fwd([t.data for t in tensors], aux)
     if tape is None:
         return Tensor(out)
-    ids = tuple(
-        t.node if (t.tape is tape and t.node is not None) else tape.const(t.data)
-        for t in tensors
-    )
-    nid = tape._push(Node(op, ids, out, aux))
+    needs = tuple(t.tape is tape and t.node is not None for t in tensors)
+    ids = tuple(t.node if need else tape.const(t.data) for t, need in zip(tensors, needs))
+    nid = tape._push(Node(op, ids, out, aux, needs))
     return Tensor(out, tape, nid)
 
 
@@ -177,7 +177,7 @@ def _fwd_matmul(v, aux):
     return a @ b
 
 
-def _vjp_matmul(v, aux, out, g):
+def _vjp_matmul(v, aux, out, g, needs):
     a, b = v
     return [g @ b.T, a.T @ g]
 
@@ -212,7 +212,7 @@ def _fwd_relu(v, aux):
     return np.maximum(v[0], 0.0)
 
 
-def _vjp_relu(v, aux, out, g):
+def _vjp_relu(v, aux, out, g, needs):
     # Subgradient 0 at the kink.
     return [g * (v[0] > 0.0)]
 
@@ -228,26 +228,13 @@ def _fwd_linear(v, aux):
     return np.maximum(out, 0.0, out=out) if aux[0] else out
 
 
-def _vjp_linear(v, aux, out, g):
+def _vjp_linear(v, aux, out, g, needs):
     x, w, _ = v
     if aux[0]:
         # relu output > 0 exactly where its input was; subgradient 0 at the kink
         g = g * (out > 0.0)
-    return [g @ w.T, x.T @ g, g.sum(axis=0)]
-
-
-def _fwd_row_range(v, aux):
-    (m,) = v
-    start, stop = aux
-    if m.ndim != 2 or not 0 <= start <= stop <= m.shape[0]:
-        raise ValueError(f"row_range: rows [{start}, {stop}) of shape {m.shape}")
-    return m[start:stop]
-
-
-def _vjp_row_range(v, aux, out, g):
-    gm = np.zeros_like(v[0])
-    gm[aux[0]:aux[1]] = g
-    return [gm]
+    return [g @ w.T if needs[0] else None, x.T @ g if needs[1] else None,
+            g.sum(axis=0) if needs[2] else None]
 
 
 def _pair_diffs(z: Array, c: Array) -> Array:
@@ -265,11 +252,11 @@ def _fwd_pairsq(v, aux):
     return np.einsum("ikj,ikj->ik", d, d)
 
 
-def _vjp_pairsq(v, aux, out, g):
+def _vjp_pairsq(v, aux, out, g, needs):
     z, c = v
     d = _pair_diffs(z, c)
-    gz = 2.0 * np.einsum("ik,ikj->ij", g, d)
-    gc = -2.0 * np.einsum("ik,ikj->kj", g, d)
+    gz = 2.0 * np.einsum("ik,ikj->ij", g, d) if needs[0] else None
+    gc = -2.0 * np.einsum("ik,ikj->kj", g, d) if needs[1] else None
     return [gz, gc]
 
 
@@ -281,7 +268,7 @@ def _fwd_lse_rows(v, aux):
     return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def _vjp_lse_rows(v, aux, out, g):
+def _vjp_lse_rows(v, aux, out, g, needs):
     (x,) = v
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return [g[:, None] * (e / e.sum(axis=1, keepdims=True))]
@@ -297,7 +284,7 @@ def _fwd_softmax_rows(v, aux):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _vjp_softmax_rows(v, aux, out, g):
+def _vjp_softmax_rows(v, aux, out, g, needs):
     return [(out * (g - (g * out).sum(axis=1, keepdims=True))) / aux[0]]
 
 
@@ -320,14 +307,17 @@ def _fwd_kl_rows(v, aux):
     return terms.sum(axis=1)
 
 
-def _vjp_kl_rows(v, aux, out, g):
+def _vjp_kl_rows(v, aux, out, g, needs):
     p, q = v
     pos = p > 0.0
     grow = np.broadcast_to(g[:, None], p.shape)
-    gp = np.zeros_like(p)
-    gq = np.zeros_like(q)
-    gp[pos] = (np.log(p[pos] / q[pos]) + 1.0) * grow[pos]
-    gq[pos] = -(p[pos] / q[pos]) * grow[pos]
+    gp = gq = None
+    if needs[0]:
+        gp = np.zeros_like(p)
+        gp[pos] = (np.log(p[pos] / q[pos]) + 1.0) * grow[pos]
+    if needs[1]:
+        gq = np.zeros_like(q)
+        gq[pos] = -(p[pos] / q[pos]) * grow[pos]
     return [gp, gq]
 
 
@@ -341,16 +331,15 @@ def _fwd_rowsel(v, aux):
     return m[np.arange(m.shape[0]), idx]
 
 
-def _vjp_rowsel(v, aux, out, g):
+def _vjp_rowsel(v, aux, out, g, needs):
     (m,) = v
     gm = np.zeros_like(m)
     gm[np.arange(m.shape[0]), aux[0]] = g
     return [gm]
 
 
-def _fwd_cmeans(v, aux):
-    (z,) = v
-    labels, k = aux
+def _class_counts(z: Array, labels: Array, k: int) -> Array:
+    """Rows per class, after checking that every row has a label and every class a row."""
     if z.ndim != 2 or labels.ndim != 1 or labels.shape[0] != z.shape[0]:
         raise ValueError("class_means: need one label per row")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
@@ -358,29 +347,88 @@ def _fwd_cmeans(v, aux):
     counts = np.bincount(labels, minlength=k)
     if counts.min(initial=1) == 0:
         raise ValueError(f"class_means: class {int(counts.argmin())} has no members")
+    return counts
+
+
+def _class_means(z: Array, labels: Array, counts: Array) -> Array:
     # A stable sort keeps each class's rows in order, so summing each slice
     # and dividing by its count is bitwise that class's `mean(axis=0)`.
     grouped = z[np.argsort(labels, kind="stable")]
-    out = np.empty((k, z.shape[1]), dtype=np.float64)
-    start = 0
-    for c, n in enumerate(counts.tolist()):
-        np.add.reduce(grouped[start:start + n], axis=0, out=out[c])
-        start += n
+    if counts.size and counts.max() == counts.min():
+        # equal counts (every sampled episode): one reduction over (k, n, F)
+        # adds each class's rows in the same order as its own slice would
+        out = np.add.reduce(grouped.reshape(counts.size, -1, z.shape[1]), axis=1)
+    else:
+        out = np.empty((counts.size, z.shape[1]), dtype=np.float64)
+        start = 0
+        for c, n in enumerate(counts.tolist()):
+            np.add.reduce(grouped[start:start + n], axis=0, out=out[c])
+            start += n
     out /= counts[:, None]
     return out
 
 
-def _vjp_cmeans(v, aux, out, g):
+def _class_means_grad(g: Array, labels: Array, counts: Array) -> Array:
+    """Per-row gradient of the class means: each row gets its class's g over the count."""
+    return g[labels] / counts.astype(np.float64)[labels][:, None]
+
+
+def _fwd_cmeans(v, aux):
+    return _class_means(v[0], aux[0], _class_counts(v[0], *aux))
+
+
+def _vjp_cmeans(v, aux, out, g, needs):
     labels, k = aux
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    return [g[labels] / counts[labels][:, None]]
+    return [_class_means_grad(g, labels, np.bincount(labels, minlength=k))]
+
+
+def _fwd_proto_sqdist(v, aux):
+    (z,) = v
+    labels, k = aux
+    if z.ndim != 2 or labels.ndim != 1 or z.shape[0] < labels.shape[0]:
+        raise ValueError(f"proto_sqdist: {labels.shape[0]} support rows in shape {z.shape}")
+    zs = z[:labels.shape[0]]
+    return prototype_distances(zs, z[labels.shape[0]:], labels, _class_counts(zs, labels, k))
+
+
+def _vjp_proto_sqdist(v, aux, out, g, needs):
+    # the class_means -> pairwise_sqdist vjps; queries after the support rows
+    (z,) = v
+    labels, k = aux
+    n = labels.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    gq, gc = _vjp_pairsq([z[n:], _class_means(z[:n], labels, counts)], (), out, g, (True, True))
+    gz = np.empty_like(z)
+    gz[:n] = _class_means_grad(gc, labels, counts)
+    gz[n:] = gq
+    return [gz]
+
+
+def _fwd_proto_xent(v, aux):
+    (d,) = v
+    y, t = aux
+    if t <= 0.0:
+        raise ValueError(f"temperature must be positive, got {t}")
+    pull = _fwd_rowsel([d], (y,)) * (1.0 / t)
+    spread = _fwd_lse_rows([d * (-1.0 / t)], ())
+    return _fwd_mean([_fwd_add([pull, spread], ())], ())
+
+
+def _vjp_proto_xent(v, aux, out, g, needs):
+    # the tmean -> add -> (scale . take_per_row, logsumexp_rows . scale) vjps
+    (d,) = v
+    y, t = aux
+    rows = np.full(d.shape[0], 1.0) * (g / d.shape[0])
+    gd = _vjp_lse_rows([d * (-1.0 / t)], (), None, rows, needs)[0] * (-1.0 / t)
+    gd[np.arange(d.shape[0]), y] += rows * (1.0 / t)
+    return [gd]
 
 
 def _fwd_sum(v, aux):
     return np.asarray(v[0].sum())
 
 
-def _vjp_sum(v, aux, out, g):
+def _vjp_sum(v, aux, out, g, needs):
     return [np.full_like(v[0], 1.0) * g]
 
 
@@ -390,26 +438,27 @@ def _fwd_mean(v, aux):
     return np.asarray(v[0].mean())
 
 
-def _vjp_mean(v, aux, out, g):
+def _vjp_mean(v, aux, out, g, needs):
     return [np.full_like(v[0], 1.0) * (g / v[0].size)]
 
 
 _OPS: dict[str, OpSpec] = {
     "matmul": OpSpec(_fwd_matmul, _vjp_matmul),
-    "add": OpSpec(_fwd_add, lambda v, aux, out, g: [g, g]),
-    "sub": OpSpec(_fwd_sub, lambda v, aux, out, g: [g, -g]),
-    "mul": OpSpec(_fwd_mul, lambda v, aux, out, g: [g * v[1], g * v[0]]),
-    "scale": OpSpec(_fwd_scale, lambda v, aux, out, g: [g * aux[0]]),
-    "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, g: [g, g.sum(axis=0)]),
+    "add": OpSpec(_fwd_add, lambda v, aux, out, g, needs: [g, g]),
+    "sub": OpSpec(_fwd_sub, lambda v, aux, out, g, needs: [g, -g]),
+    "mul": OpSpec(_fwd_mul, lambda v, aux, out, g, needs: [g * v[1], g * v[0]]),
+    "scale": OpSpec(_fwd_scale, lambda v, aux, out, g, needs: [g * aux[0]]),
+    "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, g, needs: [g, g.sum(axis=0)]),
     "relu": OpSpec(_fwd_relu, _vjp_relu),
     "linear": OpSpec(_fwd_linear, _vjp_linear),
-    "row_range": OpSpec(_fwd_row_range, _vjp_row_range),
     "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq),
     "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows),
     "softmax_rows": OpSpec(_fwd_softmax_rows, _vjp_softmax_rows),
     "kl_div_rows": OpSpec(_fwd_kl_rows, _vjp_kl_rows),
     "take_per_row": OpSpec(_fwd_rowsel, _vjp_rowsel),
     "class_means": OpSpec(_fwd_cmeans, _vjp_cmeans),
+    "proto_sqdist": OpSpec(_fwd_proto_sqdist, _vjp_proto_sqdist),
+    "proto_xent": OpSpec(_fwd_proto_xent, _vjp_proto_xent),
     "sum": OpSpec(_fwd_sum, _vjp_sum),
     "mean": OpSpec(_fwd_mean, _vjp_mean),
 }
@@ -459,11 +508,6 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     return _apply("linear", (as_tensor(x), as_tensor(w), as_tensor(b)), (bool(relu),))
 
 
-def row_range(m, start: int, stop: int) -> Tensor:
-    """Rows start..stop-1 of a matrix; the gradient is zero outside them."""
-    return _apply("row_range", (as_tensor(m),), (int(start), int(stop)))
-
-
 def pairwise_sqdist(z, c) -> Tensor:
     """All squared Euclidean distances between rows of z and rows of c."""
     return _apply("pairwise_sqdist", (as_tensor(z), as_tensor(c)))
@@ -495,6 +539,41 @@ def class_means(z, labels, n_classes: int) -> Tensor:
     return _apply(
         "class_means", (as_tensor(z),), (np.array(labels, dtype=np.intp), int(n_classes))
     )
+
+
+def proto_sqdist(z, support_y, n_ways: int) -> Tensor:
+    """Squared distances from the query rows of z to the support prototypes, as one node.
+
+    The first ``len(support_y)`` rows of z are the support, labelled
+    0..n_ways-1; each prototype is its class's mean row (Snell et al. 2017),
+    and the remaining rows are the queries.  Bitwise equal to ``class_means``
+    of the support rows then ``pairwise_sqdist`` from the queries, value and
+    gradient.
+    """
+    return _apply(
+        "proto_sqdist", (as_tensor(z),), (np.array(support_y, dtype=np.intp), int(n_ways))
+    )
+
+
+def proto_xent(d, y, temperature: float) -> Tensor:
+    """Mean over rows of d[y] / T + log sum_k exp(-d_k / T), as one node.
+
+    Bitwise equal to ``take_per_row`` and ``scale`` by 1/T, plus
+    ``logsumexp_rows`` of d scaled by -1/T, then ``tmean``: value and gradient.
+    """
+    return _apply(
+        "proto_xent", (as_tensor(d),), (np.array(y, dtype=np.intp), float(temperature))
+    )
+
+
+def prototype_distances(zs: Array, zq: Array, labels: Array, counts: Array) -> Array:
+    """``proto_sqdist``'s kernel, off the tape, on separate support and query rows.
+
+    `labels` gives each row of `zs` its class; `counts` is
+    ``np.bincount(labels)`` over all classes, each at least 1.  The caller
+    has checked both, so the kernel does not.
+    """
+    return _fwd_pairsq([zq, _class_means(zs, labels, counts)], ())
 
 
 def tsum(x) -> Tensor:

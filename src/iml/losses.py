@@ -28,7 +28,6 @@ from .model import (
     BoundParams,
     ModelSnapshot,
     ParamStore,
-    compute_prototypes,
     discriminant,
     embed,
 )
@@ -89,12 +88,10 @@ class LossBreakdown:
 def episode_sqdists(z, episode: Episode) -> Tensor:
     """Query-to-prototype squared distances from one embedding of ``episode.all_inputs()``.
 
-    Support rows come first; both row ranges are taken from `z`, so on a
-    tape one embedding serves prototypes and queries.
+    Support rows come first, so on a tape one embedding serves prototypes
+    and queries.
     """
-    n = len(episode.support_y)
-    protos = compute_prototypes(ad.row_range(z, 0, n), episode.support_y, episode.n_ways)
-    return ad.pairwise_sqdist(ad.row_range(z, n, z.shape[0]), protos)
+    return ad.proto_sqdist(z, episode.support_y, episode.n_ways)
 
 
 def prototype_xent(d, y, temperature: float) -> Tensor:
@@ -102,11 +99,7 @@ def prototype_xent(d, y, temperature: float) -> Tensor:
 
     `d` holds query-to-prototype squared distances, on a tape or as a plain array.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    pull = ad.scale(ad.take_per_row(d, y), 1.0 / temperature)
-    spread = ad.logsumexp_rows(ad.scale(d, -1.0 / temperature))
-    return ad.tmean(ad.add(pull, spread))
+    return ad.proto_xent(d, y, temperature)
 
 
 def ida_kl(

@@ -36,19 +36,37 @@ class BackboneConfig:
         return (self.input_dim, *self.hidden_dims, self.embed_dim)
 
 
+def flat_views(arrays: list[Array]) -> tuple[Array, list[Array]]:
+    """Copy `arrays` into one new float64 vector; return it and a view of it per array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
 class ParamStore:
-    """Weight/bias arrays for one backbone; the live copy a trainer mutates."""
+    """Weight/bias arrays for one backbone; the live copy a trainer mutates.
+
+    All parameters live in one float64 vector, ``flat``, in the order of
+    :meth:`arrays`; ``weights`` and ``biases`` are views into it.  The
+    constructor copies its inputs.
+    """
 
     def __init__(self, weights: list[Array], biases: list[Array]):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias per weight matrix and at least one layer")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
-            if i and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: fan-in does not match previous fan-out")
+        self.flat, self._arrays = flat_views([a for wb in zip(weights, biases) for a in wb])
+        self.weights = self._arrays[0::2]
+        self.biases = self._arrays[1::2]
 
     @property
     def n_layers(self) -> int:
@@ -56,17 +74,13 @@ class ParamStore:
 
     def arrays(self) -> list[Array]:
         """All parameter arrays in fixed order: W0, b0, W1, b1, ..."""
-        out: list[Array] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return list(self._arrays)
 
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.flat.size
 
     def copy(self) -> "ParamStore":
-        return ParamStore([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ParamStore(self.weights, self.biases)
 
     def bind(self, tape: Tape) -> "BoundParams":
         """Register every array as a tape leaf for one differentiable step."""
@@ -218,10 +232,9 @@ def freeze_snapshot(
 def prototype_sqdists(zs: Array, zq: Array, episode) -> Array:
     """Squared distances from query embeddings to the episode's support prototypes.
 
-    Off the tape, for scoring.  Every class needs the same number of support
-    rows, the layout `sample_episode` draws; the stable sort keeps each
-    class's rows in order, so the prototypes are bitwise those of
-    :func:`compute_prototypes`.
+    Off the tape, for scoring, through the kernel of the training loss's
+    `autodiff.proto_sqdist`.  Every class needs the same number of support
+    rows, the layout `sample_episode` draws.
     """
     labels = np.asarray(episode.support_y)
     counts = np.bincount(labels, minlength=episode.n_ways)
@@ -230,9 +243,7 @@ def prototype_sqdists(zs: Array, zq: Array, episode) -> Array:
             f"support needs equally many rows for each of {episode.n_ways} classes, "
             f"got counts {counts.tolist()}"
         )
-    order = np.argsort(labels, kind="stable")
-    protos = zs[order].reshape(episode.n_ways, -1, zs.shape[1]).mean(axis=1)
-    return ad.pairwise_sqdist(zq, protos).data
+    return ad.prototype_distances(zs, zq, labels, counts)
 
 
 def nearest_prototype_accuracy(d: Array, query_y) -> float:

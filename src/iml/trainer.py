@@ -31,6 +31,7 @@ from .model import (
     ParamStore,
     SnapshotMeta,
     embed,
+    flat_views,
     freeze_snapshot,
     init_backbone,
     merge_anchor_sets,
@@ -95,7 +96,11 @@ class TrainConfig:
 
 @dataclass
 class OptimState:
-    """Adam moments plus the plateau-schedule bookkeeping."""
+    """Adam moments plus the plateau-schedule bookkeeping.
+
+    Each moment lives in one flat vector (``m_flat``, ``v_flat``) laid out
+    like ``ParamStore.flat``; ``m`` and ``v`` are per-array views into them.
+    """
 
     m: list[Array]
     v: list[Array]
@@ -104,6 +109,12 @@ class OptimState:
     best: float = -math.inf
     plateau: int = 0
     decays: int = 0
+    m_flat: Array = field(init=False, repr=False)
+    v_flat: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m_flat, self.m = flat_views(self.m)
+        self.v_flat, self.v = flat_views(self.v)
 
 
 def init_optim(params: ParamStore, cfg: TrainConfig) -> OptimState:
@@ -123,24 +134,29 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place on the live parameters."""
+    """One bias-corrected Adam update, in place on the live parameters.
+
+    Adam is elementwise, so one pass over ``params.flat`` and the flat
+    moments is bitwise the per-array update.
+    """
     arrays = params.arrays()
     if len(grads) != len(arrays):
         raise ValueError(f"got {len(grads)} gradients for {len(arrays)} parameter arrays")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(
-                f"non-finite gradient at optimizer step {state.step + 1}"
-            )
+    for a, g in zip(arrays, grads):
+        if np.shape(g) != a.shape:
+            raise ValueError(f"gradient of shape {np.shape(g)} for a {a.shape} parameter")
+    g = np.concatenate([np.ravel(x) for x in grads])
+    if not np.isfinite(g).all():
+        raise TrainingDivergenceError(f"non-finite gradient at optimizer step {state.step + 1}")
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        a -= state.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m_flat, state.v_flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def lr_schedule_update(state: OptimState, val_metric: float, cfg: TrainConfig) -> None:

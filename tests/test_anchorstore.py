@@ -144,6 +144,34 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
         load_snapshot(p)
 
 
+def test_load_rejects_header_dims_that_do_not_fit_payload(tmp_path):
+    """The checksum covers only the payload; the header's dims are checked against it."""
+    p = tmp_path / "m.imlsnap"
+    save_snapshot(make_snapshot(), p)
+    saved = json.loads(p.read_text())
+    for edit, needle in (({"input_dim": 7, "embed_dim": 9}, "do not fit backbone dims"),
+                         ({"input_dim": 7}, "do not fit backbone dims"),
+                         ({"embed_dim": 9}, "do not fit backbone dims")):
+        doc = json.loads(json.dumps(saved))
+        doc["config"].update(edit)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotCorruptError, match=needle):
+            load_snapshot(p)
+
+
+def test_load_rejects_anchor_width_that_does_not_fit_embed_dim(tmp_path):
+    params = init_backbone(CFG, 0)
+    snap = freeze_snapshot(CFG, params, AnchorSet((5,), np.zeros((1, 3))), SnapshotMeta(0, 0, "b"))
+    p = tmp_path / "m.imlsnap"
+    save_snapshot(snap, p)
+    doc = json.loads(p.read_text())
+    doc["anchor_shape"] = [3, 1]  # same payload bytes, read as three 1-wide anchors
+    doc["anchor_class_ids"] = [5, 6, 7]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotCorruptError, match="anchor width 1"):
+        load_snapshot(p)
+
+
 def test_meta_round_index_preserved(tmp_path):
     params = init_backbone(CFG, 0)
     anchors = AnchorSet((5, 9), np.zeros((2, 3)), round_tag=2)

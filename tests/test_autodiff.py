@@ -260,13 +260,16 @@ def test_class_means_exact():
     out = ad.class_means(tape.leaf(z), labels, 3)
     for c in range(3):
         assert np.array_equal(out.data[c], z[labels == c].mean(axis=0))
-    # shuffled labels with unequal counts, 1 to 40 rows per class
+    # shuffled labels with unequal and with equal counts, 1 to 40 rows per
+    # class, 1 to 16 features (one feature makes numpy sum each class pairwise)
     for k in (2, 5, 20):
-        labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 41, size=k)))
-        z = rng.standard_normal((labels.size, 16)) * 10.0 ** rng.integers(-3, 4)
-        out = ad.class_means(z, labels, k).data
-        for c in range(k):
-            assert np.array_equal(out[c], z[labels == c].mean(axis=0)), (k, c)
+        for counts in (rng.integers(1, 41, size=k), np.full(k, rng.integers(1, 41))):
+            for f in (16, 1):
+                labels = rng.permutation(np.repeat(np.arange(k), counts))
+                z = rng.standard_normal((labels.size, f)) * 10.0 ** rng.integers(-3, 4)
+                out = ad.class_means(z, labels, k).data
+                for c in range(k):
+                    assert np.array_equal(out[c], z[labels == c].mean(axis=0)), (k, c, f)
 
 
 def test_class_means_missing_class():
@@ -366,22 +369,6 @@ def test_linear_rejects_bad_shapes():
         ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
 
 
-def test_row_range_values_and_grads():
-    rng = np.random.default_rng(23)
-    m = rng.standard_normal((7, 3))
-    tape = ad.Tape()
-    leaf = tape.leaf(m)
-    top, rest = ad.row_range(leaf, 0, 3), ad.row_range(leaf, 3, 7)
-    assert np.array_equal(top.data, m[:3]) and np.array_equal(rest.data, m[3:])
-    grads = tape.backward(ad.tsum(top), [leaf.node])
-    assert np.array_equal(grads[leaf.node], np.vstack([np.ones((3, 3)), np.zeros((4, 3))]))
-    # two ranges of one matrix, combined nonlinearly
-    check(lambda ls: ad.tmean(ad.pairwise_sqdist(ad.row_range(ls[0], 0, 3),
-                                                 ad.row_range(ls[0], 2, 7))), [m])
-    with pytest.raises(ValueError, match="row_range"):
-        ad.row_range(m, 5, 8)
-
-
 def test_grads_pairwise_sqdist():
     rng = np.random.default_rng(14)
     z = rng.standard_normal((5, 3))
@@ -435,3 +422,141 @@ def test_grads_take_and_means():
     check(lambda ls: ad.tmean(ad.class_means(ls[0], labels, 3)), [z])
     m = rng.standard_normal((4, 6))
     check(lambda ls: ad.tsum(ad.take_per_row(ls[0], [5, 0, 2, 2])), [m])
+
+
+# ---- fused prototype ops against the chains they replace ----
+
+
+def support_layout(rng, ways, shuffled=True, equal=False):
+    """Support labels 0..ways-1, 1 to 7 rows per class (or 5 each), optionally shuffled."""
+    counts = np.full(ways, 5) if equal else rng.integers(1, 8, size=ways)
+    labels = np.repeat(np.arange(ways), counts)
+    return rng.permutation(labels) if shuffled else labels
+
+
+def proto_layouts():
+    rng = np.random.default_rng(30)
+    for ways in (2, 3, 5, 11, 20):
+        for shuffled, equal in ((False, True), (True, True), (True, False)):
+            sy = support_layout(rng, ways, shuffled, equal)
+            q = int(rng.integers(1, 4 * ways))
+            z = rng.standard_normal((sy.size + q, 16)) * 10.0 ** rng.uniform(-2, 2)
+            yield z, sy, ways, rng.integers(0, ways, size=q), rng.standard_normal((q, ways))
+
+
+def unfused_sqdist(zs, zq, sy, ways):
+    return ad.pairwise_sqdist(zq, ad.class_means(zs, sy, ways))
+
+
+def unfused_xent(d, y, t):
+    pull = ad.scale(ad.take_per_row(d, y), 1.0 / t)
+    return ad.tmean(ad.add(pull, ad.logsumexp_rows(ad.scale(d, -1.0 / t))))
+
+
+def test_proto_sqdist_matches_unfused_chain_bitwise():
+    for z, sy, ways, _, r in proto_layouts():
+        n = sy.size
+        tape = ad.Tape()
+        leaf = tape.leaf(z)
+        fused = ad.proto_sqdist(leaf, sy, ways)
+        g_fused = tape.backward(ad.tsum(ad.mul(fused, ad.constant(r))), [leaf.node])[leaf.node]
+        tape = ad.Tape()
+        zs, zq = tape.leaf(z[:n]), tape.leaf(z[n:])
+        chain = unfused_sqdist(zs, zq, sy, ways)
+        g = tape.backward(ad.tsum(ad.mul(chain, ad.constant(r))), [zs.node, zq.node])
+        assert np.array_equal(fused.data, chain.data), (ways, n)
+        assert np.array_equal(g_fused, np.vstack([g[zs.node], g[zq.node]])), (ways, n)
+        # off the tape, and through the public kernel
+        off = ad.proto_sqdist(z, sy, ways).data
+        assert np.array_equal(off, unfused_sqdist(z[:n], z[n:], sy, ways).data)
+        assert np.array_equal(ad.prototype_distances(z[:n], z[n:], sy, np.bincount(sy)), off)
+
+
+def test_proto_xent_matches_unfused_chain_bitwise():
+    for z, sy, ways, y, _ in proto_layouts():
+        d = ad.proto_sqdist(z, sy, ways).data
+        for t in (0.5, 2.0, 3.0):
+            got = []
+            for loss_of in (lambda x: ad.proto_xent(x, y, t), lambda x: unfused_xent(x, y, t)):
+                tape = ad.Tape()
+                leaf = tape.leaf(d)
+                loss = loss_of(leaf)
+                # an upstream gradient other than 1, as a weighted loss term gets
+                grads = tape.backward(ad.scale(loss, 0.37), [leaf.node])
+                got.append((loss.data, grads[leaf.node]))
+            assert np.array_equal(got[0][0], got[1][0]), (ways, t)
+            assert np.array_equal(got[0][1], got[1][1]), (ways, t)
+            assert np.array_equal(ad.proto_xent(d, y, t).data, unfused_xent(d, y, t).data)
+
+
+def test_proto_ops_reject_bad_inputs():
+    z = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="class 1 has no members"):
+        ad.proto_sqdist(z, [0, 0], 2)
+    with pytest.raises(ValueError, match="support rows"):
+        ad.proto_sqdist(z, [0, 1, 0, 1, 0], 2)
+    with pytest.raises(ValueError, match="temperature"):
+        ad.proto_xent(z, [0, 1, 0, 1], 0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        ad.proto_xent(z, [0, 1, 0, 2], 1.0)
+
+
+def test_grads_proto_ops():
+    rng = np.random.default_rng(31)
+    sy = np.array([1, 0, 2, 1, 0, 2, 2])  # shuffled, unequal counts
+    z = rng.standard_normal((sy.size + 5, 4))
+    y = np.array([0, 2, 1, 1, 0])
+    d = rng.uniform(0.5, 3.0, size=(5, 3))
+    r = rng.standard_normal((5, 3))
+    for f, arrays in (
+        (lambda ls: ad.tsum(ad.mul(ad.proto_sqdist(ls[0], sy, 3), ad.constant(r))), [z]),
+        (lambda ls: ad.proto_xent(ls[0], y, 2.0), [d]),
+        (lambda ls: ad.proto_xent(ad.proto_sqdist(ls[0], sy, 3), y, 1.5), [z]),
+    ):
+        check(f, arrays, tol=1e-5)
+
+
+# ---- needs-grad masks and gradient accumulation ----
+
+
+def test_masked_vjp_skips_constant_inputs():
+    rng = np.random.default_rng(32)
+    x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+    z, c = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+    p = ad.softmax_rows(rng.standard_normal((6, 4))).data
+    q = ad.softmax_rows(rng.standard_normal((6, 4))).data
+    cases = (("linear", [x, w, b], (True,)), ("linear", [x, w, b], (False,)),
+             ("pairwise_sqdist", [z, c], ()), ("kl_div_rows", [p, q], ()))
+    for op, values, aux in cases:
+        spec = ad._OPS[op]
+        out = spec.fwd(values, aux)
+        g = rng.standard_normal(out.shape)
+        full = spec.vjp(values, aux, out, g, (True,) * len(values))
+        for skip in range(len(values)):
+            needs = tuple(i != skip for i in range(len(values)))
+            parts = spec.vjp(values, aux, out, g, needs)
+            assert parts[skip] is None, (op, skip)
+            for i in range(len(values)):
+                if i != skip:
+                    assert np.array_equal(parts[i], full[i]), (op, skip, i)
+
+
+def test_tape_records_which_inputs_need_gradients():
+    tape = ad.Tape()
+    w = tape.leaf(np.ones((2, 3)))
+    out = ad.linear(np.ones((4, 2)), w, np.zeros(3))
+    node = tape.nodes[out.node]
+    assert node.needs == (False, True, False)
+    assert [tape.nodes[i].op for i in node.inputs] == ["const", "leaf", "const"]
+
+
+def test_backward_sums_aliased_parts_out_of_place():
+    """`add` hands the same array to both inputs; a later in-place sum would leak into both."""
+    tape = ad.Tape()
+    a = tape.leaf(np.zeros(3))
+    b = tape.leaf(np.zeros(3))
+    early = ad.tsum(ad.scale(b, 2.0))  # reaches b last in the reverse sweep
+    loss = ad.add(early, ad.tsum(ad.add(a, b)))
+    grads = tape.backward(loss, [a.node, b.node])
+    assert np.array_equal(grads[a.node], np.ones(3))
+    assert np.array_equal(grads[b.node], np.full(3, 3.0))

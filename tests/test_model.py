@@ -74,6 +74,29 @@ def test_param_store_copy_is_deep():
     assert ps.weights[0][0, 0] != 123.0
 
 
+def test_param_store_is_one_flat_buffer():
+    ps = init_backbone(BackboneConfig(3, (4, 5), 2), 0)
+    assert ps.flat.shape == (ps.n_params(),)
+    start = 0
+    for a in ps.arrays():
+        assert a.base is ps.flat
+        assert np.array_equal(ps.flat[start:start + a.size], a.ravel())
+        start += a.size
+    assert start == ps.flat.size
+    assert all(a is b for a, b in zip(ps.arrays()[0::2], ps.weights))
+    assert all(a is b for a, b in zip(ps.arrays()[1::2], ps.biases))
+    ps.flat[0] = 5.0
+    assert ps.weights[0][0, 0] == 5.0
+    cp = ps.copy()
+    assert not np.shares_memory(cp.flat, ps.flat)
+    assert all(a.base is cp.flat for a in cp.arrays())
+    for x, y in zip(cp.arrays(), ps.arrays()):
+        assert np.array_equal(x, y)
+    # the constructor copies its inputs too
+    w = np.ones((2, 2))
+    assert not np.shares_memory(ParamStore([w], [np.zeros(2)]).flat, w)
+
+
 def test_embed_accepts_store_and_bound():
     rng = np.random.default_rng(0)
     ps = init_backbone(BackboneConfig(4, (6,), 3), 0)

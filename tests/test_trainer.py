@@ -152,6 +152,33 @@ def test_adam_rejects_wrong_grad_count():
     st = init_optim(ps, small_cfg())
     with pytest.raises(ValueError):
         adam_step(ps, [np.zeros((1, 1))], st)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(ps, [np.zeros(1), np.zeros(1)], st)
+
+
+def test_flat_adam_matches_per_array_recurrence_bitwise():
+    """One pass over the flat buffers equals the per-array update, bit for bit."""
+    ps = init_backbone(BackboneConfig(5, (7, 6), 4), 3)
+    st = init_optim(ps, small_cfg(lr=0.01))
+    ref = [a.copy() for a in ps.arrays()]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    rng = np.random.default_rng(9)
+    for step in range(1, 61):
+        grads = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 2) for a in ref]
+        adam_step(ps, grads, st)
+        c1, c2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+        for a, g, ma, va in zip(ref, grads, m, v):
+            ma *= 0.9
+            ma += (1.0 - 0.9) * g
+            va *= 0.999
+            va += (1.0 - 0.999) * (g * g)
+            a -= 0.01 * (ma / c1) / (np.sqrt(va / c2) + 1e-8)
+        for got, want in zip(ps.arrays() + st.m + st.v, ref + m + v):
+            assert np.array_equal(got, want), step
+    # the per-array moment views read the flat buffers
+    assert all(np.shares_memory(x, st.m_flat) for x in st.m)
+    assert all(np.shares_memory(x, st.v_flat) for x in st.v)
 
 
 # ---- plateau schedule ----
