@@ -9,8 +9,10 @@ order and :meth:`Tape.backward` is one reverse sweep.
 
 Each primitive op is a (forward, vjp) pair of pure functions registered
 in ``_OPS``; nodes store only the op name, input ids, which inputs are
-tape nodes (and so need a gradient), saved output and static auxiliary
-data.  A vjp may return ``None`` for an input that needs no gradient.
+tape nodes (and so need a gradient), the output, static auxiliary data
+and, for ops that declare it, the forward's intermediates that the vjp
+reads instead of recomputing.  A vjp may return ``None`` for an input
+that needs no gradient.  Off the tape the intermediates are dropped.
 """
 from __future__ import annotations
 
@@ -72,13 +74,17 @@ class Node:
     value: Array
     aux: tuple = ()
     needs: tuple[bool, ...] = ()  # per input: is it a tape node (not a constant)?
+    saved: object = None  # forward intermediates the vjp reads (ops with `saves`)
 
 
 @dataclass(frozen=True)
 class OpSpec:
-    fwd: Callable[[list[Array], tuple], Array]
-    # (values, aux, out, g, needs) -> one gradient per input, None where not needed
-    vjp: Callable[[list[Array], tuple, Array, Array, tuple[bool, ...]], list["Array | None"]]
+    # (values, aux) -> out, or (out, saved) when `saves`
+    fwd: Callable[[list[Array], tuple], object]
+    # (values, aux, out, saved, g, needs) -> one gradient per input, None where not needed
+    vjp: Callable[[list[Array], tuple, Array, object, Array, tuple[bool, ...]],
+                  list["Array | None"]]
+    saves: bool = False
 
 
 class Tape:
@@ -128,7 +134,7 @@ class Tape:
             if not node.inputs:  # leaf or const
                 continue
             values = [self.nodes[i].value for i in node.inputs]
-            parts = _OPS[node.op].vjp(values, node.aux, node.value, g, node.needs)
+            parts = _OPS[node.op].vjp(values, node.aux, node.value, node.saved, g, node.needs)
             for i, need, part in zip(node.inputs, node.needs, parts):
                 # constants never have their gradient read; parts may alias
                 # each other (`add` returns [g, g]), so sum out of place
@@ -152,12 +158,16 @@ def _apply(op: str, tensors: Sequence[Tensor], aux: tuple = ()) -> Tensor:
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError("operands live on different tapes")
-    out = _OPS[op].fwd([t.data for t in tensors], aux)
+    spec = _OPS[op]
+    out = spec.fwd([t.data for t in tensors], aux)
+    saved = None
+    if spec.saves:
+        out, saved = out
     if tape is None:
         return Tensor(out)
     needs = tuple(t.tape is tape and t.node is not None for t in tensors)
     ids = tuple(t.node if need else tape.const(t.data) for t, need in zip(tensors, needs))
-    nid = tape._push(Node(op, ids, out, aux, needs))
+    nid = tape._push(Node(op, ids, out, aux, needs, saved))
     return Tensor(out, tape, nid)
 
 
@@ -177,7 +187,7 @@ def _fwd_matmul(v, aux):
     return a @ b
 
 
-def _vjp_matmul(v, aux, out, g, needs):
+def _vjp_matmul(v, aux, out, saved, g, needs):
     a, b = v
     return [g @ b.T, a.T @ g]
 
@@ -212,7 +222,7 @@ def _fwd_relu(v, aux):
     return np.maximum(v[0], 0.0)
 
 
-def _vjp_relu(v, aux, out, g, needs):
+def _vjp_relu(v, aux, out, saved, g, needs):
     # Subgradient 0 at the kink.
     return [g * (v[0] > 0.0)]
 
@@ -228,7 +238,7 @@ def _fwd_linear(v, aux):
     return np.maximum(out, 0.0, out=out) if aux[0] else out
 
 
-def _vjp_linear(v, aux, out, g, needs):
+def _vjp_linear(v, aux, out, saved, g, needs):
     x, w, _ = v
     if aux[0]:
         # relu output > 0 exactly where its input was; subgradient 0 at the kink
@@ -249,12 +259,10 @@ def _fwd_pairsq(v, aux):
     if z.ndim != 2 or c.ndim != 2 or z.shape[1] != c.shape[1]:
         raise ValueError(f"pairwise_sqdist: shapes {z.shape} and {c.shape}")
     d = _pair_diffs(z, c)
-    return np.einsum("ikj,ikj->ik", d, d)
+    return np.einsum("ikj,ikj->ik", d, d), d
 
 
-def _vjp_pairsq(v, aux, out, g, needs):
-    z, c = v
-    d = _pair_diffs(z, c)
+def _vjp_pairsq(v, aux, out, d, g, needs):
     gz = 2.0 * np.einsum("ik,ikj->ij", g, d) if needs[0] else None
     gc = -2.0 * np.einsum("ik,ikj->kj", g, d) if needs[1] else None
     return [gz, gc]
@@ -265,13 +273,14 @@ def _fwd_lse_rows(v, aux):
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("logsumexp_rows: need a 2-D input with columns")
     m = x.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    return (m + np.log(s))[:, 0], (e, s)
 
 
-def _vjp_lse_rows(v, aux, out, g, needs):
-    (x,) = v
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return [g[:, None] * (e / e.sum(axis=1, keepdims=True))]
+def _vjp_lse_rows(v, aux, out, saved, g, needs):
+    e, s = saved
+    return [g[:, None] * (e / s)]
 
 
 def _fwd_softmax_rows(v, aux):
@@ -284,7 +293,7 @@ def _fwd_softmax_rows(v, aux):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _vjp_softmax_rows(v, aux, out, g, needs):
+def _vjp_softmax_rows(v, aux, out, saved, g, needs):
     return [(out * (g - (g * out).sum(axis=1, keepdims=True))) / aux[0]]
 
 
@@ -303,21 +312,22 @@ def _fwd_kl_rows(v, aux):
         raise ValueError("kl_div_rows: q has zero mass where p is positive")
     terms = np.zeros_like(p)
     # 0 * log 0 taken as 0.
-    terms[pos] = p[pos] * np.log(p[pos] / q[pos])
-    return terms.sum(axis=1)
+    ratio = p[pos] / q[pos]
+    log_ratio = np.log(ratio)
+    terms[pos] = p[pos] * log_ratio
+    return terms.sum(axis=1), (pos, ratio, log_ratio)
 
 
-def _vjp_kl_rows(v, aux, out, g, needs):
-    p, q = v
-    pos = p > 0.0
-    grow = np.broadcast_to(g[:, None], p.shape)
+def _vjp_kl_rows(v, aux, out, saved, g, needs):
+    pos, ratio, log_ratio = saved
+    grow = np.broadcast_to(g[:, None], pos.shape)[pos]
     gp = gq = None
     if needs[0]:
-        gp = np.zeros_like(p)
-        gp[pos] = (np.log(p[pos] / q[pos]) + 1.0) * grow[pos]
+        gp = np.zeros(pos.shape)
+        gp[pos] = (log_ratio + 1.0) * grow
     if needs[1]:
-        gq = np.zeros_like(q)
-        gq[pos] = -(p[pos] / q[pos]) * grow[pos]
+        gq = np.zeros(pos.shape)
+        gq[pos] = -ratio * grow
     return [gp, gq]
 
 
@@ -331,7 +341,7 @@ def _fwd_rowsel(v, aux):
     return m[np.arange(m.shape[0]), idx]
 
 
-def _vjp_rowsel(v, aux, out, g, needs):
+def _vjp_rowsel(v, aux, out, saved, g, needs):
     (m,) = v
     gm = np.zeros_like(m)
     gm[np.arange(m.shape[0]), aux[0]] = g
@@ -377,7 +387,7 @@ def _fwd_cmeans(v, aux):
     return _class_means(v[0], aux[0], _class_counts(v[0], *aux))
 
 
-def _vjp_cmeans(v, aux, out, g, needs):
+def _vjp_cmeans(v, aux, out, saved, g, needs):
     labels, k = aux
     return [_class_means_grad(g, labels, np.bincount(labels, minlength=k))]
 
@@ -388,17 +398,18 @@ def _fwd_proto_sqdist(v, aux):
     if z.ndim != 2 or labels.ndim != 1 or z.shape[0] < labels.shape[0]:
         raise ValueError(f"proto_sqdist: {labels.shape[0]} support rows in shape {z.shape}")
     zs = z[:labels.shape[0]]
-    return prototype_distances(zs, z[labels.shape[0]:], labels, _class_counts(zs, labels, k))
+    counts = _class_counts(zs, labels, k)
+    out, d = _fwd_pairsq([z[labels.shape[0]:], _class_means(zs, labels, counts)], ())
+    return out, (counts, d)
 
 
-def _vjp_proto_sqdist(v, aux, out, g, needs):
+def _vjp_proto_sqdist(v, aux, out, saved, g, needs):
     # the class_means -> pairwise_sqdist vjps; queries after the support rows
-    (z,) = v
-    labels, k = aux
+    counts, d = saved
+    labels = aux[0]
     n = labels.shape[0]
-    counts = np.bincount(labels, minlength=k)
-    gq, gc = _vjp_pairsq([z[n:], _class_means(z[:n], labels, counts)], (), out, g, (True, True))
-    gz = np.empty_like(z)
+    gq, gc = _vjp_pairsq(None, (), out, d, g, (True, True))
+    gz = np.empty_like(v[0])
     gz[:n] = _class_means_grad(gc, labels, counts)
     gz[n:] = gq
     return [gz]
@@ -410,16 +421,17 @@ def _fwd_proto_xent(v, aux):
     if t <= 0.0:
         raise ValueError(f"temperature must be positive, got {t}")
     pull = _fwd_rowsel([d], (y,)) * (1.0 / t)
-    spread = _fwd_lse_rows([d * (-1.0 / t)], ())
-    return _fwd_mean([_fwd_add([pull, spread], ())], ())
+    spread, exps = _fwd_lse_rows([d * (-1.0 / t)], ())
+    return _fwd_mean([_fwd_add([pull, spread], ())], ()), exps
 
 
-def _vjp_proto_xent(v, aux, out, g, needs):
-    # the tmean -> add -> (scale . take_per_row, logsumexp_rows . scale) vjps
+def _vjp_proto_xent(v, aux, out, saved, g, needs):
+    # the tmean -> add -> (scale . take_per_row, logsumexp_rows . scale) vjps;
+    # `saved` holds logsumexp_rows' exponentials and their row sums
     (d,) = v
     y, t = aux
     rows = np.full(d.shape[0], 1.0) * (g / d.shape[0])
-    gd = _vjp_lse_rows([d * (-1.0 / t)], (), None, rows, needs)[0] * (-1.0 / t)
+    gd = _vjp_lse_rows(None, (), None, saved, rows, needs)[0] * (-1.0 / t)
     gd[np.arange(d.shape[0]), y] += rows * (1.0 / t)
     return [gd]
 
@@ -428,7 +440,7 @@ def _fwd_sum(v, aux):
     return np.asarray(v[0].sum())
 
 
-def _vjp_sum(v, aux, out, g, needs):
+def _vjp_sum(v, aux, out, saved, g, needs):
     return [np.full_like(v[0], 1.0) * g]
 
 
@@ -438,27 +450,27 @@ def _fwd_mean(v, aux):
     return np.asarray(v[0].mean())
 
 
-def _vjp_mean(v, aux, out, g, needs):
+def _vjp_mean(v, aux, out, saved, g, needs):
     return [np.full_like(v[0], 1.0) * (g / v[0].size)]
 
 
 _OPS: dict[str, OpSpec] = {
     "matmul": OpSpec(_fwd_matmul, _vjp_matmul),
-    "add": OpSpec(_fwd_add, lambda v, aux, out, g, needs: [g, g]),
-    "sub": OpSpec(_fwd_sub, lambda v, aux, out, g, needs: [g, -g]),
-    "mul": OpSpec(_fwd_mul, lambda v, aux, out, g, needs: [g * v[1], g * v[0]]),
-    "scale": OpSpec(_fwd_scale, lambda v, aux, out, g, needs: [g * aux[0]]),
-    "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, g, needs: [g, g.sum(axis=0)]),
+    "add": OpSpec(_fwd_add, lambda v, aux, out, saved, g, needs: [g, g]),
+    "sub": OpSpec(_fwd_sub, lambda v, aux, out, saved, g, needs: [g, -g]),
+    "mul": OpSpec(_fwd_mul, lambda v, aux, out, saved, g, needs: [g * v[1], g * v[0]]),
+    "scale": OpSpec(_fwd_scale, lambda v, aux, out, saved, g, needs: [g * aux[0]]),
+    "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, saved, g, needs: [g, g.sum(axis=0)]),
     "relu": OpSpec(_fwd_relu, _vjp_relu),
     "linear": OpSpec(_fwd_linear, _vjp_linear),
-    "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq),
-    "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows),
+    "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq, saves=True),
+    "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows, saves=True),
     "softmax_rows": OpSpec(_fwd_softmax_rows, _vjp_softmax_rows),
-    "kl_div_rows": OpSpec(_fwd_kl_rows, _vjp_kl_rows),
+    "kl_div_rows": OpSpec(_fwd_kl_rows, _vjp_kl_rows, saves=True),
     "take_per_row": OpSpec(_fwd_rowsel, _vjp_rowsel),
     "class_means": OpSpec(_fwd_cmeans, _vjp_cmeans),
-    "proto_sqdist": OpSpec(_fwd_proto_sqdist, _vjp_proto_sqdist),
-    "proto_xent": OpSpec(_fwd_proto_xent, _vjp_proto_xent),
+    "proto_sqdist": OpSpec(_fwd_proto_sqdist, _vjp_proto_sqdist, saves=True),
+    "proto_xent": OpSpec(_fwd_proto_xent, _vjp_proto_xent, saves=True),
     "sum": OpSpec(_fwd_sum, _vjp_sum),
     "mean": OpSpec(_fwd_mean, _vjp_mean),
 }
@@ -573,7 +585,7 @@ def prototype_distances(zs: Array, zq: Array, labels: Array, counts: Array) -> A
     ``np.bincount(labels)`` over all classes, each at least 1.  The caller
     has checked both, so the kernel does not.
     """
-    return _fwd_pairsq([zq, _class_means(zs, labels, counts)], ())
+    return _fwd_pairsq([zq, _class_means(zs, labels, counts)], ())[0]
 
 
 def tsum(x) -> Tensor:

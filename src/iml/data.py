@@ -32,6 +32,7 @@ class Dataset:
     labels: Array
     split_name: str = ""
     class_index: dict[int, Array] = field(init=False, repr=False)
+    class_ids: Array = field(init=False, repr=False)  # sorted, int64
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -40,9 +41,8 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("need exactly one label per feature row")
-        self.class_index = {
-            int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
-        }
+        self.class_ids = np.unique(self.labels)
+        self.class_index = {int(c): np.flatnonzero(self.labels == c) for c in self.class_ids}
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -53,7 +53,7 @@ class Dataset:
 
     @property
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.class_index))
+        return tuple(self.class_ids.tolist())
 
     @property
     def n_classes(self) -> int:
@@ -103,6 +103,11 @@ class EpisodeSpec:
             raise ValueError("an episode needs at least 2 ways to pose a task")
         if self.shots < 1 or self.queries < 1:
             raise ValueError("shots and queries must be at least 1")
+
+    def support_layout(self) -> tuple[Array, Array]:
+        """(local support labels, rows per class) of every episode drawn with this spec."""
+        return (np.repeat(np.arange(self.ways, dtype=np.int64), self.shots),
+                np.full(self.ways, self.shots, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,7 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
 
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
     """Draw ways classes, then shots+queries rows per class, all without replacement."""
-    classes = np.asarray(dataset.classes, dtype=np.int64)
+    classes = dataset.class_ids
     if classes.size < spec.ways:
         raise ValueError(
             f"dataset '{dataset.split_name}' has {classes.size} classes; "
@@ -272,7 +277,7 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
         srows.append(pick[: spec.shots])
         qrows.append(pick[spec.shots :])
     support_rows, query_rows = np.concatenate(srows), np.concatenate(qrows)
-    support_y = np.repeat(np.arange(spec.ways, dtype=np.int64), spec.shots)
+    support_y = spec.support_layout()[0]
     query_y = np.repeat(np.arange(spec.ways, dtype=np.int64), spec.queries)
     return Episode(
         dataset.features[support_rows], support_y, dataset.features[query_rows], query_y,

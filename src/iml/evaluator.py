@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import prototype_distances
 from .data import Dataset, EpisodeSpec, reserve_exemplars, sample_episode
 from .losses import MethodKind
-from .model import ModelSnapshot, embed, nearest_prototype_accuracy, prototype_sqdists
+from .model import ModelSnapshot, embed, nearest_prototype_accuracy
 from .trainer import TrainConfig, train_incremental
 
 
@@ -60,7 +61,9 @@ def evaluate(
 ) -> EvalReport:
     """Mean episode accuracy with a 95% interval over n independent episodes.
 
-    The dataset is embedded once; each episode gathers its rows from that table.
+    The dataset is embedded once; each episode gathers its rows from that
+    table.  `sample_episode` draws every episode with the spec's support
+    layout, so labels and class counts are built once, unchecked.
     """
     if n_episodes < 2:
         raise ValueError("evaluation needs at least two episodes for an interval")
@@ -70,10 +73,11 @@ def evaluate(
             f"dataset '{dataset.split_name}' is {dataset.dim}-dim"
         )
     z = embed(snapshot.params, dataset.features).data
+    labels, counts = spec.support_layout()
 
     def one(i: int) -> float:
         ep = sample_episode(dataset, spec, np.random.default_rng([seed, i]))
-        d = prototype_sqdists(z[ep.support_rows], z[ep.query_rows], ep)
+        d = prototype_distances(z[ep.support_rows], z[ep.query_rows], labels, counts)
         return nearest_prototype_accuracy(d, ep.query_y)
 
     if workers <= 1:

@@ -69,6 +69,8 @@ class LossBreakdown:
     For non-exemplar methods: total == meta_ce + lam * align.
     For ``eiml``:             total == meta_ce + lam_old * align_old
                                                + lam_new * align_new.
+    ``sqdists`` holds the query-to-prototype squared distances meta_ce
+    was computed from.
     """
 
     method: MethodKind
@@ -80,6 +82,7 @@ class LossBreakdown:
     align_new: Tensor | None = None
     lam_old: float | None = None
     lam_new: float | None = None
+    sqdists: Tensor | None = None
 
 
 # ---- cores: each formula once, on embeddings of the rows it scores ----
@@ -160,10 +163,17 @@ def query_sqdists(params: ParamStore | BoundParams, episode: Episode) -> tuple[T
 
 
 def meta_xent_loss(
-    params: ParamStore | BoundParams, episode: Episode, temperature: float
-) -> Tensor:
-    """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T)."""
-    return prototype_xent(*query_sqdists(params, episode), temperature)
+    params: ParamStore | BoundParams, episode: Episode, temperature: float,
+    return_sqdists: bool = False,
+) -> Tensor | tuple[Tensor, Tensor]:
+    """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T).
+
+    With ``return_sqdists``, returns ``(loss, sqdists)``: the loss and the
+    query-to-prototype squared distances it was computed from.
+    """
+    d, y = query_sqdists(params, episode)
+    loss = prototype_xent(d, y, temperature)
+    return (loss, d) if return_sqdists else loss
 
 
 def ida_loss(
@@ -249,11 +259,12 @@ def incremental_objective(
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     z = embed(new_params, episode.all_inputs())
-    meta = prototype_xent(episode_sqdists(z, episode), episode.query_y, temperature)
+    d = episode_sqdists(z, episode)
+    meta = prototype_xent(d, episode.query_y, temperature)
     zero = ad.constant(0.0)
 
     if method in (MethodKind.NU, MethodKind.FT, MethodKind.PAR):
-        return LossBreakdown(method, meta, meta, zero, lam)
+        return LossBreakdown(method, meta, meta, zero, lam, sqdists=d)
 
     if method is MethodKind.EIML:
         lo = lam if lam_old is None else lam_old
@@ -261,7 +272,7 @@ def incremental_objective(
         if lo < 0 or ln < 0:
             raise ValueError("lambda_old and lambda_new must be non-negative")
         if lo == 0.0 and ln == 0.0:
-            return LossBreakdown(method, meta, meta, None, lam, zero, zero, lo, ln)
+            return LossBreakdown(method, meta, meta, None, lam, zero, zero, lo, ln, d)
         if old is None:
             raise ValueError("eiml needs a frozen teacher snapshot")
         ex = aux.exemplar_episode
@@ -272,11 +283,11 @@ def incremental_objective(
         a_new = ida_kl(z, _teacher_z(old, aux.teacher_z, episode),
                        old.anchors.restrict(ex.class_map), temperature, kl_order)
         total = ad.add(ad.add(meta, ad.scale(a_old, lo)), ad.scale(a_new, ln))
-        return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln)
+        return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln, d)
 
     # ida / dfa, both on the episode's own rows
     if lam == 0.0:
-        return LossBreakdown(method, meta, meta, zero, lam)
+        return LossBreakdown(method, meta, meta, zero, lam, sqdists=d)
     if old is None:
         raise ValueError(f"{method.value} needs a frozen teacher snapshot")
     if method is MethodKind.IDA:
@@ -287,4 +298,4 @@ def incremental_objective(
     else:
         align = feature_drift(z, _teacher_z(old, aux.teacher_z, episode))
     total = ad.add(meta, ad.scale(align, lam))
-    return LossBreakdown(method, total, meta, align, lam)
+    return LossBreakdown(method, total, meta, align, lam, sqdists=d)

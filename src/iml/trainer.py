@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .anchorstore import extract_anchors
-from .autodiff import Array, Tape, Tensor
+from .autodiff import Array, Tape, Tensor, prototype_distances
 from .data import (
     Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
     write_text_atomic,
@@ -36,8 +36,6 @@ from .model import (
     init_backbone,
     merge_anchor_sets,
     nearest_prototype_accuracy,
-    prototype_sqdists,
-    score_episode,
 )
 
 # Sub-stream tags hashed into every rng seed.
@@ -175,6 +173,11 @@ def lr_schedule_update(state: OptimState, val_metric: float, cfg: TrainConfig) -
 class _EpochLog:
     """CSV lines `epoch,split,loss,acc,lr`; overwrites any previous log.
 
+    A `train` row's loss and acc are means over the epoch's steps, both
+    taken from each step's forward pass, before its update: acc is the
+    nearest-prototype accuracy of the distances the loss was computed
+    from.  A `val` row scores the parameters at the end of the epoch.
+
     Every write replaces the whole file atomically, so the file on disk is
     always a complete log: the previous run's, or this run's up to its last
     row.
@@ -199,10 +202,11 @@ def _validate(
     """Mean meta loss and accuracy over validation episodes, from one embedding of `val_ds`."""
     rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, epoch])
     z = embed(params, val_ds.features).data
+    labels, counts = cfg.episode.support_layout()
     losses, accs = [], []
     for _ in range(cfg.val_episodes):
         ep = sample_episode(val_ds, cfg.episode, rng)
-        d = prototype_sqdists(z[ep.support_rows], z[ep.query_rows], ep)
+        d = prototype_distances(z[ep.support_rows], z[ep.query_rows], labels, counts)
         losses.append(float(prototype_xent(d, ep.query_y, cfg.temperature)))
         accs.append(nearest_prototype_accuracy(d, ep.query_y))
     return float(np.mean(losses)), float(np.mean(accs))
@@ -226,12 +230,14 @@ def _exemplar_episode_spec(cfg: TrainConfig, exemplar_ds: Dataset) -> EpisodeSpe
 
 def _fit(
     params: ParamStore, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
-    round_index: int, objective: Callable[[BoundParams, Episode], Tensor],
+    round_index: int, objective: Callable[[BoundParams, Episode], tuple[Tensor, Tensor]],
 ) -> None:
     """Adam on `objective(bound, episode)` over sampled tasks, in place on `params`.
 
-    Each epoch logs the mean train loss and accuracy, validates, and steps
-    the lr schedule; `round_index` keys the episode and validation streams.
+    The objective returns the loss and the query-to-prototype distances it
+    was computed from; the step's train accuracy is read off those.  Each
+    epoch logs the mean train loss and accuracy, validates, and steps the
+    lr schedule; `round_index` keys the episode and validation streams.
     """
     state = init_optim(params, cfg)
     epi_rng = np.random.default_rng([cfg.seed, _EPISODE_STREAM, round_index])
@@ -242,16 +248,16 @@ def _fit(
             ep = sample_episode(train_ds, cfg.episode, epi_rng)
             tape = Tape()
             bound = params.bind(tape)
-            loss = objective(bound, ep)
+            loss, sqdists = objective(bound, ep)
             value = float(loss)
             if not math.isfinite(value):
                 raise TrainingDivergenceError(
                     f"non-finite loss {value} at epoch {epoch}, task {task}"
                 )
+            ep_losses.append(value)
+            ep_accs.append(nearest_prototype_accuracy(sqdists.data, ep.query_y))
             grads = tape.backward(loss, bound.ids)
             adam_step(params, [grads[i] for i in bound.ids], state)
-            ep_losses.append(value)
-            ep_accs.append(score_episode(params, ep))
         log.row(epoch, "train", float(np.mean(ep_losses)), float(np.mean(ep_accs)), state.lr)
         val_loss, val_acc = _validate(params, val_ds, cfg, round_index, epoch)
         log.row(epoch, "val", val_loss, val_acc, state.lr)
@@ -272,7 +278,7 @@ def train_base(
         )
     params = init_backbone(backbone, cfg.seed)
     _fit(params, train_ds, val_ds, cfg, 0,
-         lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature))
+         lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature, return_sqdists=True))
     anchors = extract_anchors(params, train_ds, round_tag=0)
     meta = SnapshotMeta(seed=cfg.seed, round_index=0, method=method_tag)
     return freeze_snapshot(backbone, params, anchors, meta)
@@ -351,10 +357,11 @@ def train_incremental(
                                exemplar_teacher_z=_episode_rows(exemplar_teacher_z, ex))
             else:
                 aux = AlignAux(teacher_z=teacher)
-        return incremental_objective(
+        br = incremental_objective(
             method, old, bound, ep, aux,
             cfg.lam, cfg.temperature, cfg.kl_order, cfg.lam_old, cfg.lam_new,
-        ).total
+        )
+        return br.total, br.sqdists
 
     _fit(params, new_ds, val_ds, cfg, round_index, objective)
     new_anchors = extract_anchors(params, new_ds, round_tag=round_index)

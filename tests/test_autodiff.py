@@ -529,16 +529,119 @@ def test_masked_vjp_skips_constant_inputs():
              ("pairwise_sqdist", [z, c], ()), ("kl_div_rows", [p, q], ()))
     for op, values, aux in cases:
         spec = ad._OPS[op]
-        out = spec.fwd(values, aux)
+        out, saved = spec.fwd(values, aux) if spec.saves else (spec.fwd(values, aux), None)
         g = rng.standard_normal(out.shape)
-        full = spec.vjp(values, aux, out, g, (True,) * len(values))
+        full = spec.vjp(values, aux, out, saved, g, (True,) * len(values))
         for skip in range(len(values)):
             needs = tuple(i != skip for i in range(len(values)))
-            parts = spec.vjp(values, aux, out, g, needs)
+            parts = spec.vjp(values, aux, out, saved, g, needs)
             assert parts[skip] is None, (op, skip)
             for i in range(len(values)):
                 if i != skip:
                     assert np.array_equal(parts[i], full[i]), (op, skip, i)
+
+
+# ---- vjps read what their forwards saved ----
+
+
+def recomputed_pairsq_vjp(z, c, g):
+    """pairwise_sqdist's vjp rebuilding the differences from its inputs."""
+    d = ad._pair_diffs(z, c)
+    return 2.0 * np.einsum("ik,ikj->ij", g, d), -2.0 * np.einsum("ik,ikj->kj", g, d)
+
+
+def recomputed_kl_vjp(p, q, g):
+    """kl_div_rows' vjp rebuilding its positive mask, p / q and log(p / q) from its inputs."""
+    pos = p > 0.0
+    grow = np.broadcast_to(g[:, None], p.shape)
+    gp, gq = np.zeros_like(p), np.zeros_like(q)
+    gp[pos] = (np.log(p[pos] / q[pos]) + 1.0) * grow[pos]
+    gq[pos] = -(p[pos] / q[pos]) * grow[pos]
+    return gp, gq
+
+
+def recomputed_lse_vjp(x, g):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return g[:, None] * (e / e.sum(axis=1, keepdims=True))
+
+
+def saved_vjp_grads(op, a, b, needs, r):
+    """Gradients of sum(op(a, b) * r) for the inputs marked in `needs` (the others constant)."""
+    tape = ad.Tape()
+    ins = [tape.leaf(x) if need else ad.constant(x) for x, need in zip((a, b), needs)]
+    out = op(*ins)
+    grads = tape.backward(ad.tsum(ad.mul(out, ad.constant(r))),
+                          [t.node for t in ins if t.node is not None])
+    return [grads[t.node] if t.node is not None else None for t in ins]
+
+
+MASKS = ((True, True), (True, False), (False, True))
+
+
+def test_pairwise_sqdist_saved_vjp_equals_recomputed():
+    rng = np.random.default_rng(40)
+    for n, k, f in ((1, 1, 1), (7, 3, 4), (100, 5, 16), (30, 20, 8)):
+        z = rng.standard_normal((n, f)) * 10.0 ** rng.uniform(-2, 2)
+        c = rng.standard_normal((k, f))
+        r = rng.standard_normal((n, k))
+        want = recomputed_pairsq_vjp(z, c, r)
+        for needs in MASKS:
+            got = saved_vjp_grads(ad.pairwise_sqdist, z, c, needs, r)
+            for part, w, need in zip(got, want, needs):
+                assert (part is None) if not need else np.array_equal(part, w), (n, k, needs)
+
+
+def test_kl_div_rows_saved_vjp_equals_recomputed():
+    rng = np.random.default_rng(41)
+    for n, k in ((1, 2), (6, 5), (100, 5)):
+        p = rng.uniform(0.0, 1.0, (n, k))
+        p[rng.uniform(size=(n, k)) < 0.3] = 0.0  # 0 * log 0 entries
+        p[:, 0] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        q = rng.uniform(0.05, 1.0, (n, k))
+        q /= q.sum(axis=1, keepdims=True)
+        r = rng.standard_normal(n)
+        want = recomputed_kl_vjp(p, q, r)
+        for needs in MASKS:
+            got = saved_vjp_grads(ad.kl_div_rows, p, q, needs, r)
+            for part, w, need in zip(got, want, needs):
+                assert (part is None) if not need else np.array_equal(part, w), (n, k, needs)
+
+
+def test_logsumexp_rows_saved_vjp_equals_recomputed():
+    rng = np.random.default_rng(42)
+    for shape in ((1, 1), (4, 5), (75, 20)):
+        x = rng.standard_normal(shape) * 30.0
+        r = rng.standard_normal(shape[0])
+        tape = ad.Tape()
+        leaf = tape.leaf(x)
+        grads = tape.backward(ad.tsum(ad.mul(ad.logsumexp_rows(leaf), ad.constant(r))),
+                              [leaf.node])
+        assert np.array_equal(grads[leaf.node], recomputed_lse_vjp(x, r)), shape
+
+
+def test_off_tape_calls_keep_nothing():
+    rng = np.random.default_rng(43)
+    z, c = rng.standard_normal((9, 3)), rng.standard_normal((3, 3))
+    sy, y = np.repeat(np.arange(3), 2), np.array([0, 2, 1])
+    p = ad.softmax_rows(ad.scale(ad.pairwise_sqdist(z, c), -1.0))
+    # constants in, a bare value out: no tape, no node to keep intermediates on
+    for t in (ad.pairwise_sqdist(z, c), ad.kl_div_rows(p, p), ad.logsumexp_rows(z),
+              ad.proto_sqdist(z, sy, 3), ad.proto_xent(ad.proto_sqdist(z, sy, 3), y, 2.0)):
+        assert t.tape is None and t.node is None
+    assert type(ad.prototype_distances(z[:6], z[6:], sy, np.bincount(sy))) is np.ndarray
+
+    # on a tape, the constant teacher side records nothing; only tape nodes of
+    # saving ops keep their intermediates
+    tape = ad.Tape()
+    leaf = tape.leaf(z)
+    teacher = ad.softmax_rows(ad.scale(ad.pairwise_sqdist(z + 1.0, c), -1.0))
+    student = ad.softmax_rows(ad.scale(ad.pairwise_sqdist(leaf, c), -1.0))
+    ad.tmean(ad.kl_div_rows(student, teacher))
+    ad.proto_xent(ad.proto_sqdist(leaf, sy, 3), y, 2.0)
+    kept = [n.op for n in tape.nodes if n.saved is not None]
+    assert kept == ["pairwise_sqdist", "kl_div_rows", "proto_sqdist", "proto_xent"]
+    assert [n.op for n in tape.nodes].count("pairwise_sqdist") == 1
 
 
 def test_tape_records_which_inputs_need_gradients():

@@ -277,6 +277,29 @@ def test_sample_episode_records_rows():
         assert np.array_equal(ep.query_rows, np.concatenate([p[3:] for p in picks]))
 
 
+def test_class_ids_built_once_and_sorted():
+    labels = np.array([7, 2, 7, 11, 2, 2])
+    ds = Dataset(np.zeros((6, 2)), labels)
+    assert ds.class_ids.dtype == np.int64
+    assert ds.class_ids.tolist() == [2, 7, 11]
+    assert ds.classes == (2, 7, 11) and all(type(c) is int for c in ds.classes)
+    assert ds.class_ids is ds.class_ids
+    assert list(ds.class_index) == [2, 7, 11]
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0))
+    assert empty.classes == () and empty.class_ids.dtype == np.int64
+
+
+def test_support_layout_is_every_drawn_episode_layout():
+    ds = gen_synthetic(small_spec())
+    for spec in (EpisodeSpec(2, 1, 1), EpisodeSpec(4, 3, 5), EpisodeSpec(8, 2, 2)):
+        labels, counts = spec.support_layout()
+        assert counts.dtype == labels.dtype == np.int64
+        for seed in range(5):
+            ep = sample_episode(ds, spec, np.random.default_rng(seed))
+            assert np.array_equal(ep.support_y, labels)
+            assert np.array_equal(np.bincount(ep.support_y, minlength=spec.ways), counts)
+
+
 def test_episode_all_inputs():
     ds = gen_synthetic(small_spec())
     ep = sample_episode(ds, EpisodeSpec(3, 2, 4), np.random.default_rng(6))

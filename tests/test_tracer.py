@@ -13,7 +13,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # Names the training loop must look up in iml.trainer for the tracer to see its phases.
 TRAINER_CALLS = ("sample_episode", "sample_anchor_subset", "meta_xent_loss",
-                 "incremental_objective", "adam_step", "score_episode",
+                 "incremental_objective", "adam_step",
                  "train_base", "train_incremental", "train_paragon", "run_rounds")
 
 

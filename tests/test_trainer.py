@@ -23,6 +23,7 @@ from iml.trainer import (
     _EpochLog,
     TrainConfig,
     TrainingDivergenceError,
+    _EPISODE_STREAM,
     _VAL_STREAM,
     _validate,
     adam_step,
@@ -319,6 +320,64 @@ def test_validate_matches_per_episode_oracle():
                                for ep in episodes]))
     want_acc = float(np.mean([score_episode(params, ep) for ep in episodes]))
     assert _validate(params, old_va, cfg, 1, 3) == (want_loss, want_acc)
+
+
+def spy_pre_update_params(monkeypatch):
+    """Record a copy of the live params before every optimizer step."""
+    pre = []
+    real = iml.trainer.adam_step
+
+    def spy(params, *args, **kwargs):
+        pre.append(params.copy())
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(iml.trainer, "adam_step", spy)
+    return pre
+
+
+def test_train_accuracy_is_pre_update_score_of_each_step(tmp_path, monkeypatch):
+    """A train row's acc is the mean over the epoch of each step's accuracy before its update."""
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    runs = (
+        (0, old_tr, lambda cfg: train_base(old_tr, old_va, cfg)),
+        (1, new_tr, lambda cfg: train_incremental(base, new_tr, new_va, MethodKind.IDA, cfg)),
+    )
+    for round_index, ds, train in runs:
+        pre = spy_pre_update_params(monkeypatch)
+        log = tmp_path / f"round{round_index}.csv"
+        cfg = small_cfg(epochs=3, log_path=str(log))
+        train(cfg)
+        rng = np.random.default_rng([cfg.seed, _EPISODE_STREAM, round_index])
+        steps = cfg.epochs * cfg.tasks_per_epoch
+        assert len(pre) == steps
+        accs = [score_episode(p, sample_episode(ds, cfg.episode, rng)) for p in pre]
+        rows = [r.split(",") for r in log.read_text().splitlines()[1:]]
+        got = [r[3] for r in rows if r[1] == "train"]
+        n = cfg.tasks_per_epoch
+        want = [f"{float(np.mean(accs[e * n:(e + 1) * n])):.4f}" for e in range(cfg.epochs)]
+        assert got == want, round_index
+
+
+def test_tape_nodes_per_step_pinned(monkeypatch):
+    """Tape nodes of one step per method at the acceptance benchmark's backbone."""
+    counts = []
+    real = iml.trainer.Tape.backward
+
+    def spy(tape, loss, params):
+        counts.append(len(tape.nodes))
+        return real(tape, loss, params)
+
+    monkeypatch.setattr(iml.trainer.Tape, "backward", spy)
+    old_tr, old_va, new_tr, new_va = domain_data(dim=16, n=12)
+    cfg = small_cfg(epochs=1, tasks_per_epoch=1, val_episodes=1,
+                    episode=EpisodeSpec(5, 5, 5), backbone=BackboneConfig(16, (32, 32, 32), 16))
+    base = train_base(old_tr, old_va, cfg)
+    ex = reserve_exemplars(old_tr, 6, np.random.default_rng(0))
+    for method in (MethodKind.FT, MethodKind.DFA, MethodKind.IDA, MethodKind.EIML):
+        train_incremental(base, new_tr, new_va, method, cfg, exemplars=ex)
+    iml.trainer.train_paragon(old_tr, old_va, cfg)
+    assert counts == [15, 15, 22, 24, 37, 15]  # base, ft, dfa, ida, eiml, par
 
 
 def test_incremental_rejects_too_many_anchors_before_logging(tmp_path):
