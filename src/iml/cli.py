@@ -132,6 +132,7 @@ def _list(conv: Callable[[str], object]) -> Callable[[str], tuple]:
 # Range rules: (predicate, what it demands, for the error message).
 _Rule = tuple[Callable[[object], bool], str]
 _AT_LEAST_1: _Rule = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_2: _Rule = (lambda v: v >= 2, "at least 2")
 _NON_NEGATIVE: _Rule = (lambda v: v >= 0, "non-negative")
 _POSITIVE: _Rule = (lambda v: v > 0, "positive")
 
@@ -182,7 +183,7 @@ _SETTINGS = (
     _Setting("data.old_test", _text),
     _Setting("data.new_test", _text),
     _Setting("data.unseen_test", _text),
-    _Setting("train.ways", int, (lambda v: v >= 2, "at least 2"), "train.episode.ways"),
+    _Setting("train.ways", int, _AT_LEAST_2, "train.episode.ways"),
     _Setting("train.shots", int, _AT_LEAST_1, "train.episode.shots"),
     _Setting("train.queries", int, _AT_LEAST_1, "train.episode.queries"),
     _Setting("train.epochs", int, _AT_LEAST_1),
@@ -203,13 +204,13 @@ _SETTINGS = (
     _Setting("train.embed_dim", int, _AT_LEAST_1, "embed_dim"),
     _Setting("train.profile", _text, _one_of(_PROFILES), "profile"),
     _Setting("train.rounds", int, _AT_LEAST_1, "rounds"),
-    _Setting("eval.n_episodes", int, (lambda v: v >= 2, "at least 2")),
+    _Setting("eval.n_episodes", int, _AT_LEAST_2),
     _Setting("eval.seed", int),
     _Setting("eval.workers", int, _AT_LEAST_1),
     _Setting("eval.lambda_grid", _list(float), _each(_NON_NEGATIVE)),
     _Setting("eval.exemplar_grid", _list(int), _each(_AT_LEAST_1)),
-    _Setting("eval.ways_grid", _list(int)),
-    _Setting("eval.shots_grid", _list(int)),
+    _Setting("eval.ways_grid", _list(int), _each(_AT_LEAST_2)),
+    _Setting("eval.shots_grid", _list(int), _each(_AT_LEAST_1)),
 )
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Array, Tensor
 from .data import Episode
@@ -52,8 +50,9 @@ class AlignAux:
     ``teacher_z`` and ``exemplar_teacher_z`` are the frozen teacher's
     embeddings of ``episode.all_inputs()`` and of
     ``exemplar_episode.all_inputs()``, typically gathered from a table
-    embedded once per round.  When unset, the objective embeds those rows
-    through the teacher itself.
+    embedded once per round.  An aligning step with a nonzero weight
+    requires them: ``teacher_z`` for ida, dfa and eiml, and
+    ``exemplar_teacher_z`` as well for eiml.
     """
 
     anchors: AnchorSet | None = None
@@ -86,23 +85,6 @@ class LossBreakdown:
 
 
 # ---- cores: each formula once, on embeddings of the rows it scores ----
-
-
-def episode_sqdists(z, episode: Episode) -> Tensor:
-    """Query-to-prototype squared distances from one embedding of ``episode.all_inputs()``.
-
-    Support rows come first, so on a tape one embedding serves prototypes
-    and queries.
-    """
-    return ad.proto_sqdist(z, episode.support_y, episode.n_ways)
-
-
-def prototype_xent(d, y, temperature: float) -> Tensor:
-    """Mean over rows of d[y] / T + log sum_k exp(-d_k / T).
-
-    `d` holds query-to-prototype squared distances, on a tape or as a plain array.
-    """
-    return ad.proto_xent(d, y, temperature)
 
 
 def ida_kl(
@@ -140,100 +122,27 @@ def exemplar_kl(z, z_teacher: Array, exemplar_episode: Episode, temperature: flo
     from its own embedding of the exemplar support; the teacher's
     posterior is the KL's first argument.
     """
-    d_teacher = episode_sqdists(z_teacher, exemplar_episode)
-    d_student = episode_sqdists(z, exemplar_episode)
+    sy, ways = exemplar_episode.support_y, exemplar_episode.n_ways
+    d_teacher = ad.proto_sqdist(z_teacher, sy, ways)
+    d_student = ad.proto_sqdist(z, sy, ways)
     p_teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
     p_student = ad.softmax_rows(ad.scale(d_student, -1.0), temperature)
     return ad.tmean(ad.kl_div_rows(p_teacher, p_student))
 
 
-# ---- public losses: embed, then call the core ----
-
-
-def _alignment_batch(batch_x: Array) -> Array:
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim != 2 or batch_x.shape[0] == 0:
-        raise ValueError("alignment batch must be a non-empty 2-D array")
-    return batch_x
-
-
-def query_sqdists(params: ParamStore | BoundParams, episode: Episode) -> tuple[Tensor, Array]:
-    """Squared distances from query embeddings to support prototypes."""
-    return episode_sqdists(embed(params, episode.all_inputs()), episode), episode.query_y
+# ---- objectives: embed, then call the cores ----
 
 
 def meta_xent_loss(
     params: ParamStore | BoundParams, episode: Episode, temperature: float,
-    return_sqdists: bool = False,
-) -> Tensor | tuple[Tensor, Tensor]:
+) -> tuple[Tensor, Tensor]:
     """Mean over queries of ||z - c_y||^2 / T + log sum_k exp(-||z - c_k||^2 / T).
 
-    With ``return_sqdists``, returns ``(loss, sqdists)``: the loss and the
-    query-to-prototype squared distances it was computed from.
+    Returns ``(loss, sqdists)``: the loss and the query-to-prototype
+    squared distances it was computed from.
     """
-    d, y = query_sqdists(params, episode)
-    loss = prototype_xent(d, y, temperature)
-    return (loss, d) if return_sqdists else loss
-
-
-def ida_loss(
-    old: ModelSnapshot,
-    new_params: ParamStore | BoundParams,
-    batch_x: Array,
-    anchor_subset: AnchorSet,
-    temperature: float,
-    kl_order: str = "student_first",
-) -> Tensor:
-    """Mean KL between updated and frozen posteriors over the anchor subset.
-
-    The teacher side runs through the snapshot's stored params and never
-    receives gradients.  ``kl_order`` picks which distribution is the KL's
-    first argument.
-    """
-    batch_x = _alignment_batch(batch_x)
-    return ida_kl(embed(new_params, batch_x), embed(old.params, batch_x).data,
-                  anchor_subset, temperature, kl_order)
-
-
-def dfa_loss(
-    old: ModelSnapshot, new_params: ParamStore | BoundParams, batch_x: Array
-) -> Tensor:
-    """Mean squared L2 distance between updated and frozen embeddings."""
-    batch_x = _alignment_batch(batch_x)
-    return feature_drift(embed(new_params, batch_x), embed(old.params, batch_x).data)
-
-
-def eiml_loss(
-    old: ModelSnapshot,
-    new_params: ParamStore | BoundParams,
-    exemplar_episode: Episode,
-    batch_x: Array,
-    temperature: float,
-    kl_order: str = "student_first",
-) -> tuple[Tensor, Tensor]:
-    """(align_old, align_new) for the exemplar method.
-
-    align_old: on the exemplar episode, prototypes are recomputed from the
-    exemplar support through *both* backbones, and the frozen model's
-    posterior over its own prototypes is matched by the updated model's
-    posterior over its recomputed ones (the teacher is always the KL's
-    first argument here; ``kl_order`` only affects align_new).
-
-    align_new: identical to :func:`ida_loss` on the current batch, with the
-    anchor subset fixed to the stored anchors of the exemplar episode's
-    classes.
-    """
-    x = exemplar_episode.all_inputs()
-    align_old = exemplar_kl(embed(new_params, x), embed(old.params, x).data,
-                            exemplar_episode, temperature)
-    anchors = old.anchors.restrict(exemplar_episode.class_map)
-    align_new = ida_loss(old, new_params, batch_x, anchors, temperature, kl_order)
-    return align_old, align_new
-
-
-def _teacher_z(old: ModelSnapshot, rows: Array | None, episode: Episode) -> Array:
-    """The teacher's embedding of ``episode.all_inputs()``: `rows` when given."""
-    return rows if rows is not None else embed(old.params, episode.all_inputs()).data
+    d = ad.proto_sqdist(embed(params, episode.all_inputs()), episode.support_y, episode.n_ways)
+    return ad.proto_xent(d, episode.query_y, temperature), d
 
 
 def incremental_objective(
@@ -251,16 +160,18 @@ def incremental_objective(
     """Episodic cross-entropy plus the method's weighted alignment term.
 
     The episode's inputs are embedded once, and the meta term and the
-    alignment term both read that embedding; the teacher's side comes from
-    `aux` when given.  With a zero weight the alignment branch is skipped
-    outright, so the total *is* the meta term, bitwise.
+    alignment term both read that embedding; the teacher's side is read
+    from `aux`, and a missing ``aux`` field an aligning method needs raises
+    ``ValueError``.  With a zero weight the alignment branch is skipped
+    outright, before any of those checks, so the total *is* the meta term,
+    bitwise.
     """
     method = MethodKind(method)
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     z = embed(new_params, episode.all_inputs())
-    d = episode_sqdists(z, episode)
-    meta = prototype_xent(d, episode.query_y, temperature)
+    d = ad.proto_sqdist(z, episode.support_y, episode.n_ways)
+    meta = ad.proto_xent(d, episode.query_y, temperature)
     zero = ad.constant(0.0)
 
     if method in (MethodKind.NU, MethodKind.FT, MethodKind.PAR):
@@ -278,10 +189,13 @@ def incremental_objective(
         ex = aux.exemplar_episode
         if ex is None:
             raise ValueError("eiml needs an exemplar episode in aux")
-        a_old = exemplar_kl(embed(new_params, ex.all_inputs()),
-                            _teacher_z(old, aux.exemplar_teacher_z, ex), ex, temperature)
-        a_new = ida_kl(z, _teacher_z(old, aux.teacher_z, episode),
-                       old.anchors.restrict(ex.class_map), temperature, kl_order)
+        if aux.teacher_z is None or aux.exemplar_teacher_z is None:
+            raise ValueError("eiml needs teacher_z and exemplar_teacher_z in aux")
+        a_old = exemplar_kl(embed(new_params, ex.all_inputs()), aux.exemplar_teacher_z,
+                            ex, temperature)
+        # align_new is IDA over the exemplar classes' stored anchors; only it takes kl_order
+        a_new = ida_kl(z, aux.teacher_z, old.anchors.restrict(ex.class_map),
+                       temperature, kl_order)
         total = ad.add(ad.add(meta, ad.scale(a_old, lo)), ad.scale(a_new, ln))
         return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln, d)
 
@@ -290,12 +204,13 @@ def incremental_objective(
         return LossBreakdown(method, meta, meta, zero, lam, sqdists=d)
     if old is None:
         raise ValueError(f"{method.value} needs a frozen teacher snapshot")
+    if method is MethodKind.IDA and aux.anchors is None:
+        raise ValueError("ida needs an anchor subset in aux")
+    if aux.teacher_z is None:
+        raise ValueError(f"{method.value} needs teacher_z in aux")
     if method is MethodKind.IDA:
-        if aux.anchors is None:
-            raise ValueError("ida needs an anchor subset in aux")
-        align = ida_kl(z, _teacher_z(old, aux.teacher_z, episode), aux.anchors,
-                       temperature, kl_order)
+        align = ida_kl(z, aux.teacher_z, aux.anchors, temperature, kl_order)
     else:
-        align = feature_drift(z, _teacher_z(old, aux.teacher_z, episode))
+        align = feature_drift(z, aux.teacher_z)
     total = ad.add(meta, ad.scale(align, lam))
     return LossBreakdown(method, total, meta, align, lam, sqdists=d)

@@ -135,11 +135,6 @@ def embed(params: ParamStore | BoundParams, x) -> Tensor:
     return t
 
 
-def compute_prototypes(z, labels, n_classes: int) -> Tensor:
-    """Per-class mean embedding; every class 0..n_classes-1 must have members."""
-    return ad.class_means(z, labels, n_classes)
-
-
 @dataclass(frozen=True)
 class AnchorSet:
     """Stored class centers in embedding space, tagged by the round that made them."""

@@ -16,14 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .anchorstore import extract_anchors
-from .autodiff import Array, Tape, Tensor, prototype_distances
+from .autodiff import Array, Tape, Tensor, proto_xent, prototype_distances
 from .data import (
     Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
     write_text_atomic,
 )
-from .losses import (
-    KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss, prototype_xent,
-)
+from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
 from .model import (
     BackboneConfig,
     BoundParams,
@@ -31,7 +29,6 @@ from .model import (
     ParamStore,
     SnapshotMeta,
     embed,
-    flat_views,
     freeze_snapshot,
     init_backbone,
     merge_anchor_sets,
@@ -96,32 +93,20 @@ class TrainConfig:
 class OptimState:
     """Adam moments plus the plateau-schedule bookkeeping.
 
-    Each moment lives in one flat vector (``m_flat``, ``v_flat``) laid out
-    like ``ParamStore.flat``; ``m`` and ``v`` are per-array views into them.
+    Each moment is one flat vector laid out like ``ParamStore.flat``.
     """
 
-    m: list[Array]
-    v: list[Array]
+    m: Array
+    v: Array
     step: int = 0
     lr: float = 1e-3
     best: float = -math.inf
     plateau: int = 0
     decays: int = 0
-    m_flat: Array = field(init=False, repr=False)
-    v_flat: Array = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m_flat, self.m = flat_views(self.m)
-        self.v_flat, self.v = flat_views(self.v)
 
 
 def init_optim(params: ParamStore, cfg: TrainConfig) -> OptimState:
-    arrays = params.arrays()
-    return OptimState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        lr=cfg.lr,
-    )
+    return OptimState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=cfg.lr)
 
 
 def adam_step(
@@ -149,7 +134,7 @@ def adam_step(
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
-    m, v = state.m_flat, state.v_flat
+    m, v = state.m, state.v
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
@@ -207,7 +192,7 @@ def _validate(
     for _ in range(cfg.val_episodes):
         ep = sample_episode(val_ds, cfg.episode, rng)
         d = prototype_distances(z[ep.support_rows], z[ep.query_rows], labels, counts)
-        losses.append(float(prototype_xent(d, ep.query_y, cfg.temperature)))
+        losses.append(float(proto_xent(d, ep.query_y, cfg.temperature)))
         accs.append(nearest_prototype_accuracy(d, ep.query_y))
     return float(np.mean(losses)), float(np.mean(accs))
 
@@ -278,7 +263,7 @@ def train_base(
         )
     params = init_backbone(backbone, cfg.seed)
     _fit(params, train_ds, val_ds, cfg, 0,
-         lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature, return_sqdists=True))
+         lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature))
     anchors = extract_anchors(params, train_ds, round_tag=0)
     meta = SnapshotMeta(seed=cfg.seed, round_index=0, method=method_tag)
     return freeze_snapshot(backbone, params, anchors, meta)
@@ -376,7 +361,6 @@ def run_rounds(
     method: MethodKind | str,
     cfg: TrainConfig,
     round_vals: list[Dataset] | None = None,
-    round_exemplars: list[ExemplarSet] | None = None,
 ) -> list[ModelSnapshot]:
     """Chain incremental updates; each round's snapshot teaches the next.
 
@@ -387,14 +371,11 @@ def run_rounds(
         raise ValueError("need at least one round dataset")
     if round_vals is not None and len(round_vals) != len(round_datasets):
         raise ValueError("need one validation dataset per round")
-    if round_exemplars is not None and len(round_exemplars) != len(round_datasets):
-        raise ValueError("need one exemplar set per round")
     snapshots: list[ModelSnapshot] = []
     teacher = base
     for i, ds in enumerate(round_datasets):
         val = round_vals[i] if round_vals is not None else ds
-        ex = round_exemplars[i] if round_exemplars is not None else None
-        snap = train_incremental(teacher, ds, val, method, cfg, exemplars=ex)
+        snap = train_incremental(teacher, ds, val, method, cfg)
         snapshots.append(snap)
         teacher = snap
     return snapshots

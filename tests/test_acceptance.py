@@ -31,19 +31,12 @@ from iml.data import (
     uniform_offset,
 )
 from iml.evaluator import confidence_interval, evaluate
-from iml.losses import (
-    MethodKind,
-    dfa_loss,
-    eiml_loss,
-    ida_loss,
-    meta_xent_loss,
-)
+from iml.losses import MethodKind, exemplar_kl, feature_drift, ida_kl, meta_xent_loss
 from iml.model import (
     BackboneConfig,
     BoundParams,
     ParamStore,
     SnapshotMeta,
-    compute_prototypes,
     discriminant,
     embed,
     freeze_snapshot,
@@ -188,20 +181,26 @@ def test_c1_gradient_check():
     student = init_backbone(config, seed=2)
     arrays = student.arrays()
     batch = episode.all_inputs()
+    batch_teacher = embed(teacher.params, batch).data
     exemplar_ep = sample_episode(ds, EpisodeSpec(5, 2, 2), np.random.default_rng(2))
+    exemplar_x = exemplar_ep.all_inputs()
+    exemplar_teacher = embed(teacher.params, exemplar_x).data
 
     def check(f):
         err = grad_check(f, arrays, h=1e-4)
         assert err <= 1e-5, f"relative error {err:.2e}"
 
-    check(lambda ls: meta_xent_loss(BoundParams(list(ls)), episode, temp))
-    check(lambda ls: ida_loss(teacher, BoundParams(list(ls)), batch,
-                              teacher.anchors, temp))
-    check(lambda ls: dfa_loss(teacher, BoundParams(list(ls)), batch))
+    def student_z(ls, x=batch):
+        return embed(BoundParams(list(ls)), x)
+
+    check(lambda ls: meta_xent_loss(BoundParams(list(ls)), episode, temp)[0])
+    check(lambda ls: ida_kl(student_z(ls), batch_teacher, teacher.anchors, temp))
+    check(lambda ls: feature_drift(student_z(ls), batch_teacher))
 
     def eiml_total(ls):
-        a_old, a_new = eiml_loss(teacher, BoundParams(list(ls)), exemplar_ep,
-                                 batch, temp)
+        a_old = exemplar_kl(student_z(ls, exemplar_x), exemplar_teacher, exemplar_ep, temp)
+        a_new = ida_kl(student_z(ls), batch_teacher,
+                       teacher.anchors.restrict(exemplar_ep.class_map), temp)
         return ad.add(a_old, a_new)
 
     check(eiml_total)
@@ -369,7 +368,7 @@ def test_c8_protocol_invariants():
     # prototypes are exact class means
     z = ad.constant(rng.normal(size=(12, dim)))
     y = np.repeat(np.arange(4), 3)
-    protos = compute_prototypes(z, y, 4).data
+    protos = ad.class_means(z, y, 4).data
     for c in range(4):
         assert np.array_equal(protos[c], z.data[y == c].mean(axis=0))
 

@@ -142,6 +142,8 @@ def test_out_of_range_values(tmp_path):
         ("[eval]\nworkers = 0\n", "workers"),
         ("[eval]\nlambda_grid = 0.5,-2\n", "lambda_grid"),
         ("[eval]\nexemplar_grid = 0,5\n", "exemplar_grid"),
+        ("[eval]\nways_grid = 1,5\n", "ways_grid"),
+        ("[eval]\nshots_grid = 0\n", "shots_grid"),
     ]
     for text, needle in cases:
         p.write_text(text)

@@ -9,7 +9,6 @@ from iml.model import (
     ModelSnapshot,
     ParamStore,
     SnapshotMeta,
-    compute_prototypes,
     discriminant,
     embed,
     freeze_snapshot,
@@ -121,20 +120,20 @@ def test_prototypes_are_exact_class_means():
     z = rng.standard_normal((12, 5))
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 0, 1, 2])
     tape = ad.Tape()
-    protos = compute_prototypes(tape.leaf(z), labels, 3)
+    protos = ad.class_means(tape.leaf(z), labels, 3)
     for c in range(3):
         assert np.array_equal(protos.data[c], z[labels == c].mean(axis=0))
 
 
 def test_prototype_sqdists_match_tape_ops():
-    """Bitwise the distances to `compute_prototypes`, labels in any order."""
+    """Bitwise the distances to `class_means` prototypes, labels in any order."""
     rng = np.random.default_rng(4)
     for ways, shots in ((2, 1), (5, 5), (20, 5), (7, 3)):
         sy = rng.permutation(np.repeat(np.arange(ways), shots))
         zs = rng.standard_normal((ways * shots, 16)) * 10.0 ** rng.uniform(-3, 3)
         zq = rng.standard_normal((3 * ways, 16))
         ep = Episode(zs, sy, zq, np.zeros(3 * ways, dtype=np.int64), tuple(range(ways)))
-        want = ad.pairwise_sqdist(zq, compute_prototypes(zs, sy, ways)).data
+        want = ad.pairwise_sqdist(zq, ad.class_means(zs, sy, ways)).data
         assert np.array_equal(prototype_sqdists(zs, zq, ep), want)
 
 

@@ -1,10 +1,12 @@
 """Static checks on the library source."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "iml"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "iml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +36,55 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """Names read in `tree`: loaded names and attribute names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def unreferenced_defs(sources: list[str], external: set[str]) -> list[str]:
+    """Top-level functions and classes of `sources` that nothing reads.
+
+    A read counts when it is in any of `sources`, outside the definition's
+    own body, or when the name is in `external`.
+    """
+    trees = [ast.parse(src) for src in sources]
+    reads = sum((_reads(t) for t in trees), Counter())
+    defs = [node for t in trees for node in t.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return sorted(d.name for d in defs
+                  if d.name not in external and reads[d.name] == _reads(d)[d.name])
+
+
+def external_names() -> set[str]:
+    """Names read from outside the library: `iml.__all__`, and names or strings in bench/."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    names = {e.value for n in init.body if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+             for e in n.value.elts}
+    for path in (ROOT / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names |= set(_reads(tree))
+        names |= {n.value for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and n.value.isidentifier()}
+    return names
+
+
+def test_unreferenced_defs_detector():
+    a = "def used(): pass\ndef unused(): pass\ndef rec(): return rec()\n" \
+        "class C: pass\ndef ext(): pass\nx = used()\n"
+    b = "import a\nprint(a.C)\n"
+    assert unreferenced_defs([a, b], {"ext"}) == ["rec", "unused"]
+
+
+def test_no_unreferenced_definitions():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_defs(sources, external_names()) == []
