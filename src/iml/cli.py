@@ -40,7 +40,7 @@ from .evaluator import (
     sweep_lambda,
 )
 from .losses import KL_ORDERS, MethodKind
-from .model import BackboneConfig
+from .model import BackboneConfig, ModelSnapshot
 from .trainer import (
     TrainConfig,
     run_rounds,
@@ -57,14 +57,6 @@ _PROFILES = {
     "desk": {},
     "paper-scale": {"train.epochs": 200, "train.tasks_per_epoch": 800, "eval.n_episodes": 2000},
 }
-
-# Which test table each evaluation split reads, and which table each role labels.
-_ROLE_SPLIT = {
-    "old_train": "old", "old_val": "old", "old_test": "old",
-    "new_train": "new", "new_val": "new", "new_test": "new",
-    "unseen_test": "unseen",
-}
-
 
 class ConfigError(ValueError):
     """Bad config file, key, or value; maps to the usage exit code."""
@@ -146,6 +138,11 @@ def _each(rule: _Rule) -> _Rule:
     return (lambda v: all(ok(x) for x in v)), f"{need} in every entry"
 
 
+def _nonempty(rule: _Rule) -> _Rule:
+    ok, need = rule
+    return (lambda v: len(v) > 0 and ok(v)), f"a non-empty list with {need}"
+
+
 class _Setting(NamedTuple):
     """One config key: how its text parses, its range rule, and where it lands."""
 
@@ -207,10 +204,10 @@ _SETTINGS = (
     _Setting("eval.n_episodes", int, _AT_LEAST_2),
     _Setting("eval.seed", int),
     _Setting("eval.workers", int, _AT_LEAST_1),
-    _Setting("eval.lambda_grid", _list(float), _each(_NON_NEGATIVE)),
-    _Setting("eval.exemplar_grid", _list(int), _each(_AT_LEAST_1)),
-    _Setting("eval.ways_grid", _list(int), _each(_AT_LEAST_2)),
-    _Setting("eval.shots_grid", _list(int), _each(_AT_LEAST_1)),
+    _Setting("eval.lambda_grid", _list(float), _nonempty(_each(_NON_NEGATIVE))),
+    _Setting("eval.exemplar_grid", _list(int), _nonempty(_each(_AT_LEAST_1))),
+    _Setting("eval.ways_grid", _list(int), _nonempty(_each(_AT_LEAST_2))),
+    _Setting("eval.shots_grid", _list(int), _nonempty(_each(_AT_LEAST_1))),
 )
 
 
@@ -347,7 +344,8 @@ def _prepare(rc: RunConfig) -> RunPaths:
 
 
 def _load_role(rc: RunConfig, rp: RunPaths, role: str) -> Dataset:
-    split = _ROLE_SPLIT[role]
+    """The table of a role such as ``old_train``; its split is the role's first word."""
+    split = role.split("_")[0]
     if rc.data.kind == "csv":
         configured = getattr(rc.data, role)
         if not configured:
@@ -383,6 +381,29 @@ def _train_cfg(rc: RunConfig, rp: RunPaths, data_dim: int, log_name: str) -> Tra
 def _snapshot_path(rp: RunPaths, method: str) -> Path:
     name = {"nu": "base", "par": "paragon"}.get(method, f"incr_{method}")
     return rp.snapshots / f"{name}.imlsnap"
+
+
+def _save_snapshots(snaps: dict[Path, ModelSnapshot]) -> int:
+    """The tail of every training command: save each snapshot and say where."""
+    for out, snap in snaps.items():
+        save_snapshot(snap, out)
+        print(f"wrote {out} ({len(snap.anchors)} anchors)")
+    return 0
+
+
+def _write_report(out: Path, lines: list[str]) -> int:
+    """The tail of every evaluating command: write one CSV report and say where."""
+    write_text_atomic(out, "\n".join(lines) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+def _names(flag: str, text: str, known: list[str]) -> list[str]:
+    """The comma list given to ``flag``: at least one name, each in ``known``."""
+    names = [n for n in text.split(",") if n]
+    if not names or any(n not in known for n in names):
+        raise ConfigError(f"{flag} takes a comma list from {','.join(known)}, got {text!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +447,13 @@ def cmd_train_base(args, rc: RunConfig) -> int:
     train_ds = _load_role(rc, rp, "old_train")
     val_ds = _load_role(rc, rp, "old_val")
     cfg = _train_cfg(rc, rp, train_ds.dim, "base")
-    snap = train_base(train_ds, val_ds, cfg)
-    out = _snapshot_path(rp, "nu")
-    save_snapshot(snap, out)
-    print(f"wrote {out} ({len(snap.anchors)} anchors)")
-    return 0
+    return _save_snapshots({_snapshot_path(rp, "nu"): train_base(train_ds, val_ds, cfg)})
 
 
 def cmd_train_incr(args, rc: RunConfig) -> int:
     rp = _prepare(rc)
     method = MethodKind(args.method)
-    base_path = Path(args.base) if args.base else _snapshot_path(rp, "nu")
-    base = load_snapshot(base_path)
+    base = load_snapshot(Path(args.base) if args.base else _snapshot_path(rp, "nu"))
     new_ds = _load_role(rc, rp, "new_train")
     val_ds = _load_role(rc, rp, "new_val")
     exemplars = None
@@ -449,10 +465,7 @@ def cmd_train_incr(args, rc: RunConfig) -> int:
         )
     cfg = _train_cfg(rc, rp, new_ds.dim, f"incr_{method.value}")
     snap = train_incremental(base, new_ds, val_ds, method, cfg, exemplars=exemplars)
-    out = _snapshot_path(rp, method.value)
-    save_snapshot(snap, out)
-    print(f"wrote {out} ({len(snap.anchors)} anchors)")
-    return 0
+    return _save_snapshots({_snapshot_path(rp, method.value): snap})
 
 
 def cmd_train_paragon(args, rc: RunConfig) -> int:
@@ -464,14 +477,11 @@ def cmd_train_paragon(args, rc: RunConfig) -> int:
         _load_role(rc, rp, "old_val"), _load_role(rc, rp, "new_val"), "union"
     )
     cfg = _train_cfg(rc, rp, union.dim, "paragon")
-    snap = train_paragon(union, val, cfg)
-    out = _snapshot_path(rp, "par")
-    save_snapshot(snap, out)
-    print(f"wrote {out} ({len(snap.anchors)} anchors)")
-    return 0
+    return _save_snapshots({_snapshot_path(rp, "par"): train_paragon(union, val, cfg)})
 
 
 def cmd_eval(args, rc: RunConfig) -> int:
+    splits = _names("--splits", args.splits, SPLIT_ORDER)
     rp = _prepare(rc)
     if args.snapshot:
         snap = load_snapshot(Path(args.snapshot))
@@ -479,10 +489,6 @@ def cmd_eval(args, rc: RunConfig) -> int:
     else:
         snap = load_snapshot(_snapshot_path(rp, args.method))
         label = args.method
-    splits = [s for s in args.splits.split(",") if s]
-    for s in splits:
-        if s not in SPLIT_ORDER:
-            raise ConfigError(f"unknown split {s!r}; choose from {','.join(SPLIT_ORDER)}")
     lines = [CSV_HEADER]
     for s in splits:
         ds = _load_role(rc, rp, f"{s}_test")
@@ -495,10 +501,7 @@ def cmd_eval(args, rc: RunConfig) -> int:
             f"{label} {s}: {100 * rep.mean_acc:.2f} ± {100 * rep.ci95:.2f} "
             f"({rep.n_episodes} episodes)"
         )
-    out = rp.reports / f"eval_{label}.csv"
-    write_text_atomic(out, "\n".join(lines) + "\n")
-    print(f"wrote {out}")
-    return 0
+    return _write_report(rp.reports / f"eval_{label}.csv", lines)
 
 
 def cmd_rounds(args, rc: RunConfig) -> int:
@@ -518,11 +521,10 @@ def cmd_rounds(args, rc: RunConfig) -> int:
     round_val = [new_val.subset_classes(g, f"new_r{i + 1}") for i, g in enumerate(groups)]
     cfg = _train_cfg(rc, rp, new_ds.dim, f"rounds_{args.method}")
     snaps = run_rounds(base, round_ds, MethodKind(args.method), cfg, round_vals=round_val)
-    for i, snap in enumerate(snaps):
-        out = rp.snapshots / f"rounds_{args.method}_r{i + 1}.imlsnap"
-        save_snapshot(snap, out)
-        print(f"wrote {out} ({len(snap.anchors)} anchors)")
-    return 0
+    return _save_snapshots({
+        rp.snapshots / f"rounds_{args.method}_r{i + 1}.imlsnap": snap
+        for i, snap in enumerate(snaps)
+    })
 
 
 def _eval_split_tables(rc: RunConfig, rp: RunPaths) -> dict[str, Dataset]:
@@ -539,10 +541,7 @@ def cmd_sweep_lambda(args, rc: RunConfig) -> int:
         rc.eval.lambda_grid, replace(rc.train, backbone=None, log_path=None),
         rc.eval.n_episodes, rc.eval.seed,
     )
-    out = rp.reports / "sweep_lambda.csv"
-    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
-    print(f"wrote {out}")
-    return 0
+    return _write_report(rp.reports / "sweep_lambda.csv", table.csv_lines())
 
 
 def cmd_sweep_exemplars(args, rc: RunConfig) -> int:
@@ -556,19 +555,13 @@ def cmd_sweep_exemplars(args, rc: RunConfig) -> int:
         replace(rc.train, backbone=None, log_path=None),
         _eval_split_tables(rc, rp), rc.eval.n_episodes, rc.eval.seed,
     )
-    out = rp.reports / "sweep_exemplars.csv"
-    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
-    print(f"wrote {out}")
-    return 0
+    return _write_report(rp.reports / "sweep_exemplars.csv", table.csv_lines())
 
 
 def cmd_cross_way_shot(args, rc: RunConfig) -> int:
     rp = _prepare(rc)
-    if args.methods:
-        methods = [m for m in args.methods.split(",") if m]
-        for m in methods:
-            if m not in METHOD_ORDER:
-                raise ConfigError(f"unknown method {m!r} in --methods")
+    if args.methods is not None:
+        methods = _names("--methods", args.methods, METHOD_ORDER)
     else:
         methods = [m for m in METHOD_ORDER if _snapshot_path(rp, m).exists()]
         if not methods:
@@ -580,123 +573,80 @@ def cmd_cross_way_shot(args, rc: RunConfig) -> int:
         rc.eval.n_episodes, rc.eval.seed,
         queries=rc.train.episode.queries, labels=methods,
     )
-    out = rp.reports / "cross_way_shot.csv"
-    write_text_atomic(out, "\n".join(table.csv_lines()) + "\n")
-    print(f"wrote {out}")
-    return 0
+    return _write_report(rp.reports / "cross_way_shot.csv", table.csv_lines())
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    method: str
-    split: str
-    n: int
-    mean: float
-    ci: float
-    ways: int
-    shots: int
-    seed: int
+_UNADAPTED = ("nu", "par")  # reference rows, never bolded
+_STUDIES = (
+    ("sweep_lambda.csv", "Alignment-weight sweep"),
+    ("sweep_exemplars.csv", "Exemplar-budget sweep"),
+    ("cross_way_shot.csv", "Ways/shots grid"),
+)
 
 
-def _cell(mean: float, ci: float) -> str:
-    return f"{100 * mean:.2f} ± {100 * ci:.2f}"
-
-
-def summary_markdown(rows: list[ReportRow]) -> str:
-    """Methods-by-splits accuracy table(s), one per episode shape.
-
-    The untouched baseline leads, the paragon closes, and the best mean
-    among the remaining methods is bolded per column (ties all bold).
-    """
-    def method_key(m: str):
-        return (METHOD_ORDER.index(m), m) if m in METHOD_ORDER else (len(METHOD_ORDER), m)
-
-    def split_key(s: str):
-        return (SPLIT_ORDER.index(s), s) if s in SPLIT_ORDER else (len(SPLIT_ORDER), s)
-
-    shapes = sorted({(r.ways, r.shots) for r in rows})
-    out = ["# Results", ""]
-    for ways, shots in shapes:
-        grp = [r for r in rows if (r.ways, r.shots) == (ways, shots)]
-        methods = sorted({r.method for r in grp}, key=method_key)
-        splits = sorted({r.split for r in grp}, key=split_key)
-        cells = {(r.method, r.split): r for r in grp}
-        best: dict[str, float] = {}
-        for s in splits:
-            contenders = [
-                cells[(m, s)].mean
-                for m in methods
-                if m not in ("nu", "par") and (m, s) in cells
-            ]
-            if contenders:
-                best[s] = max(contenders)
-        n_eps = grp[0].n
-        out.append(f"## {ways}-way {shots}-shot ({n_eps} episodes)")
-        out.append("")
-        out.append("| method | " + " | ".join(splits) + " |")
-        out.append("| --- |" + " --- |" * len(splits))
-        for m in methods:
-            row = [m.upper()]
-            for s in splits:
-                r = cells.get((m, s))
-                if r is None:
-                    row.append("—")
-                    continue
-                text = _cell(r.mean, r.ci)
-                if m not in ("nu", "par") and s in best and r.mean == best[s]:
-                    text = f"**{text}**"
-                row.append(text)
-            out.append("| " + " | ".join(row) + " |")
-        out.append("")
-    return "\n".join(out)
-
-
-def _read_eval_csv(path: Path) -> list[ReportRow]:
-    label = path.stem[len("eval_"):]
-    rows = []
-    lines = path.read_text().splitlines()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        split, n, mean, ci, ways, shots, seed = line.split(",")
-        rows.append(
-            ReportRow(label, split, int(n), float(mean), float(ci),
-                      int(ways), int(shots), int(seed))
-        )
-    return rows
-
-
-def _sweep_section(path: Path, title: str) -> list[str]:
+def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    """A CSV's header and its non-blank rows keyed by it; a zero-byte file has neither."""
     lines = path.read_text().splitlines()
     if not lines:
-        return []
-    header = lines[0].split(",")
-    axis = header[0]
-    # rows keyed by axis value, columns by label; range rows pass through
-    by_axis: dict[str, dict[str, str]] = {}
-    labels: list[str] = []
-    for line in lines[1:]:
+        return [], []
+    header, rows = lines[0].split(","), []
+    for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        value, label, mean, ci = parts[0], parts[1], parts[4], parts[5]
-        cell = _cell(float(mean), float(ci)) if label != "range" else f"{100 * float(mean):.2f}"
-        by_axis.setdefault(value, {})[label] = cell
-        if label not in labels:
-            labels.append(label)
-    out = [f"## {title}", "", "| " + axis + " | " + " | ".join(labels) + " |",
-           "| --- |" + " --- |" * len(labels)]
-    for value, cells in by_axis.items():
-        out.append(
-            "| " + value + " | "
-            + " | ".join(cells.get(lb, "—") for lb in labels) + " |"
-        )
-    out.append("")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {no}: expected {len(header)} fields")
+        rows.append(dict(zip(header, parts)))
+    return header, rows
+
+
+def _ordered(names, order: list[str]) -> list[str]:
+    """Distinct names: those in ``order`` first, in its order, then the rest by name."""
+    return sorted(set(names), key=lambda n: (order.index(n) if n in order else len(order), n))
+
+
+def _table(corner: str, rows: list[str], cols: list[str], cells: list[dict]) -> list[str]:
+    """Markdown table lines; ``cells[i]`` maps column to text in ``rows[i]``, a gap is —."""
+    out = ["| " + corner + " | " + " | ".join(cols) + " |", "| --- |" + " --- |" * len(cols)]
+    for row, by_col in zip(rows, cells):
+        out.append("| " + row + " | " + " | ".join(by_col.get(c, "—") for c in cols) + " |")
     return out
+
+
+def _cell(row: dict[str, str]) -> str:
+    """A row's mean accuracy in percent, ± its interval; a range row's spread alone."""
+    text = f"{100 * float(row['mean']):.2f}"
+    return text if row.get("label") == "range" else f"{text} ± {100 * float(row['ci']):.2f}"
+
+
+def summary_markdown(rows: list[dict[str, str]]) -> str:
+    """Methods-by-splits accuracy table(s), one per episode shape.
+
+    ``rows`` are eval CSV rows as ``_read_csv`` returns them, each with its
+    ``method`` added.  The untouched baseline leads, the paragon closes,
+    and the best mean among the remaining methods is bolded per column
+    (ties all bold).
+    """
+    out = ["# Results", ""]
+    for ways, shots in sorted({(int(r["ways"]), int(r["shots"])) for r in rows}):
+        grp = [r for r in rows if (int(r["ways"]), int(r["shots"])) == (ways, shots)]
+        found = {(r["method"], r["split"]): r for r in grp}
+        adapted = [(s, float(r["mean"])) for (m, s), r in found.items() if m not in _UNADAPTED]
+        best = {s: max(v for t, v in adapted if t == s) for s, _ in adapted}
+        cells: dict[str, dict[str, str]] = {}
+        for (m, s), r in found.items():
+            bold = m not in _UNADAPTED and float(r["mean"]) == best[s]
+            cells.setdefault(m, {})[s] = f"**{_cell(r)}**" if bold else _cell(r)
+        methods = _ordered(cells, METHOD_ORDER)
+        splits = _ordered((r["split"] for r in grp), SPLIT_ORDER)
+        out += [f"## {ways}-way {shots}-shot ({int(grp[0]['n'])} episodes)", ""]
+        out += _table("method", [m.upper() for m in methods], splits,
+                      [cells[m] for m in methods]) + [""]
+    return "\n".join(out)
 
 
 def cmd_report(args, rc: RunConfig) -> int:
@@ -704,23 +654,22 @@ def cmd_report(args, rc: RunConfig) -> int:
     eval_files = sorted(rp.reports.glob("eval_*.csv"))
     if not eval_files:
         raise FileNotFoundError(f"no eval_*.csv under {rp.reports}; run eval first")
-    rows: list[ReportRow] = []
-    for path in eval_files:
-        rows.extend(_read_eval_csv(path))
-    text = summary_markdown(rows)
-    extras = []
-    for name, title in [
-        ("sweep_lambda.csv", "Alignment-weight sweep"),
-        ("sweep_exemplars.csv", "Exemplar-budget sweep"),
-        ("cross_way_shot.csv", "Ways/shots grid"),
-    ]:
+    text = summary_markdown([
+        {**row, "method": path.stem[len("eval_"):]}
+        for path in eval_files for row in _read_csv(path)[1]
+    ])
+    # a study is one row per axis value and one column per label, in file order
+    for name, title in _STUDIES:
         path = rp.reports / name
-        if path.exists():
-            extras.extend(_sweep_section(path, title))
-    if extras:
-        text = text.rstrip("\n") + "\n\n" + "\n".join(extras)
-    if not text.endswith("\n"):
-        text += "\n"
+        header, rows = _read_csv(path) if path.exists() else ([], [])
+        if not header:
+            continue
+        by_value: dict[str, dict[str, str]] = {}
+        for row in rows:
+            by_value.setdefault(row[header[0]], {})[row["label"]] = _cell(row)
+        labels = list(dict.fromkeys(row["label"] for row in rows))
+        table = _table(header[0], list(by_value), labels, list(by_value.values()))
+        text += "\n" + "\n".join([f"## {title}", "", *table, ""])
     out = rp.reports / "summary.md"
     write_text_atomic(out, text)
     print(text)

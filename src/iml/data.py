@@ -295,46 +295,12 @@ def sample_anchor_subset(anchors, k: int, rng: np.random.Generator):
     return anchors.restrict([anchors.class_ids[i] for i in idx])
 
 
-@dataclass
-class ExemplarSet:
-    """A few retained feature rows per old class."""
-
-    features_by_class: dict[int, Array]
-
-    def __post_init__(self):
-        self.features_by_class = {
-            int(c): np.asarray(v, dtype=np.float64)
-            for c, v in self.features_by_class.items()
-        }
-        for c, v in self.features_by_class.items():
-            if v.ndim != 2 or v.shape[0] < 1:
-                raise ValueError(f"class {c} needs at least one exemplar row")
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.features_by_class))
-
-    def count(self, class_id: int) -> int:
-        return self.features_by_class[class_id].shape[0]
-
-    def as_dataset(self, split_name: str = "exemplars") -> Dataset:
-        feats = np.vstack([self.features_by_class[c] for c in self.classes])
-        labels = np.concatenate(
-            [np.full(self.count(c), c, dtype=np.int64) for c in self.classes]
-        )
-        return Dataset(feats, labels, split_name)
-
-
-def reserve_exemplars(
-    dataset: Dataset, per_class: int, rng: np.random.Generator
-) -> ExemplarSet:
-    """Keep up to per_class rows of every class; smaller classes are kept whole."""
+def reserve_exemplars(dataset: Dataset, per_class: int, rng: np.random.Generator) -> Dataset:
+    """The ``exemplars`` split: up to per_class rows of every class, in drawn order."""
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
-    kept: dict[int, Array] = {}
-    for cid in dataset.classes:
-        rows = dataset.class_index[cid]
-        take = min(per_class, rows.size)
-        pick = rng.choice(rows, size=take, replace=False)
-        kept[cid] = dataset.features[pick].copy()
-    return ExemplarSet(kept)
+    rows = np.concatenate([
+        rng.choice(idx, size=min(per_class, idx.size), replace=False)
+        for idx in dataset.class_index.values()  # built in sorted class order
+    ])
+    return Dataset(dataset.features[rows], dataset.labels[rows], "exemplars")

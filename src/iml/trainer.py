@@ -18,7 +18,7 @@ import numpy as np
 from .anchorstore import extract_anchors
 from .autodiff import Array, Tape, Tensor, proto_xent, prototype_distances
 from .data import (
-    Dataset, Episode, EpisodeSpec, ExemplarSet, sample_anchor_subset, sample_episode,
+    Dataset, Episode, EpisodeSpec, sample_anchor_subset, sample_episode,
     write_text_atomic,
 )
 from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
@@ -280,7 +280,7 @@ def train_incremental(
     val_ds: Dataset,
     method: MethodKind | str,
     cfg: TrainConfig,
-    exemplars: ExemplarSet | None = None,
+    exemplars: Dataset | None = None,
 ) -> ModelSnapshot:
     """Continue from a frozen teacher on new-class data with one method's objective.
 
@@ -318,16 +318,12 @@ def train_incremental(
         raise ValueError(
             f"anchors_per_step is {k} but the teacher stores only {len(old.anchors)} anchors"
         )
-    exemplar_ds = exemplar_spec = None
-    if method is MethodKind.EIML and need_align:
-        exemplar_ds = exemplars.as_dataset()
-        exemplar_spec = _exemplar_episode_spec(cfg, exemplar_ds)
+    use_exemplars = method is MethodKind.EIML and need_align
+    exemplar_spec = _exemplar_episode_spec(cfg, exemplars) if use_exemplars else None
     # The teacher is frozen, so its embedding of a row never changes: embed
     # each table once per round and gather every step's rows from it.
     teacher_z = embed(old.params, new_ds.features).data if need_align else None
-    exemplar_teacher_z = (
-        embed(old.params, exemplar_ds.features).data if exemplar_ds is not None else None
-    )
+    exemplar_teacher_z = embed(old.params, exemplars.features).data if use_exemplars else None
 
     def objective(bound, ep):
         aux = AlignAux()
@@ -337,7 +333,7 @@ def train_incremental(
                 aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng),
                                teacher_z=teacher)
             elif method is MethodKind.EIML:
-                ex = sample_episode(exemplar_ds, exemplar_spec, ex_rng)
+                ex = sample_episode(exemplars, exemplar_spec, ex_rng)
                 aux = AlignAux(exemplar_episode=ex, teacher_z=teacher,
                                exemplar_teacher_z=_episode_rows(exemplar_teacher_z, ex))
             else:

@@ -10,7 +10,6 @@ from iml.cli import (
     _SETTINGS,
     CSV_HEADER,
     ConfigError,
-    ReportRow,
     RunConfig,
     cmd_dispatch,
     dump_config,
@@ -144,11 +143,18 @@ def test_out_of_range_values(tmp_path):
         ("[eval]\nexemplar_grid = 0,5\n", "exemplar_grid"),
         ("[eval]\nways_grid = 1,5\n", "ways_grid"),
         ("[eval]\nshots_grid = 0\n", "shots_grid"),
+        ("[eval]\nlambda_grid =\n", "lambda_grid"),
+        ("[eval]\nexemplar_grid = ,\n", "exemplar_grid"),
+        ("[eval]\nways_grid =\n", "ways_grid"),
+        ("[eval]\nshots_grid =\n", "shots_grid"),
     ]
     for text, needle in cases:
         p.write_text(text)
         with pytest.raises(ConfigError, match=needle):
             parse_config(str(p), env={})
+    # an empty layer list is valid: one linear layer
+    p.write_text("[train]\nhidden_dims =\n")
+    assert parse_config(str(p), env={}).hidden_dims == ()
 
 
 def test_set_overrides_file(tiny_cfg):
@@ -333,6 +339,14 @@ def test_eval_rejects_unknown_split(tiny_cfg, tmp_path, capsys):
     code = cmd_dispatch(["eval", "--method", "nu", "--splits", "old,bogus",
                          "-c", tiny_cfg, "--out", out])
     assert code == 1
+    # empty lists are rejected before any report is written
+    for argv in (["eval", "--method", "nu", "--splits", ","],
+                 ["cross-way-shot", "--methods", ","],
+                 ["cross-way-shot", "--set", "eval.ways_grid="]):
+        capsys.readouterr()
+        assert cmd_dispatch(argv + ["-c", tiny_cfg, "--out", out]) == 1, argv
+        assert "config error" in capsys.readouterr().err
+    assert not list((Path(out) / "reports").glob("*.csv"))
 
 
 def test_rounds_needs_enough_classes(tiny_cfg, tmp_path, capsys):
@@ -349,8 +363,14 @@ def test_rounds_needs_enough_classes(tiny_cfg, tmp_path, capsys):
 # ---- report rendering ----
 
 
+def eval_row(method, split, n, mean, ci, ways, shots, seed):
+    """One eval CSV row as the report reads it, tagged with its method."""
+    return {"method": method, "split": split, "n": str(n), "mean": repr(mean),
+            "ci": repr(ci), "ways": str(ways), "shots": str(shots), "seed": str(seed)}
+
+
 def sample_rows():
-    mk = lambda m, s, mean: ReportRow(m, s, 10, mean, 0.01, 3, 2, 0)
+    mk = lambda m, s, mean: eval_row(m, s, 10, mean, 0.01, 3, 2, 0)
     return [
         mk("nu", "old", 0.95), mk("nu", "new", 0.40),
         mk("ft", "old", 0.80), mk("ft", "new", 0.90),
@@ -378,7 +398,7 @@ def test_summary_orders_and_bolds():
 def test_summary_bold_ties_and_gaps():
     rows = sample_rows()
     # tie ft with ida on the new split, and drop ida's old cell
-    rows = [r for r in rows if not (r.method == "ida" and r.split == "old")]
+    rows = [r for r in rows if not (r["method"] == "ida" and r["split"] == "old")]
     text = summary_markdown(rows)
     ft_line = next(l for l in text.splitlines() if l.startswith("| FT"))
     ida_line = next(l for l in text.splitlines() if l.startswith("| IDA"))
@@ -388,7 +408,7 @@ def test_summary_bold_ties_and_gaps():
 
 
 def test_summary_groups_by_episode_shape():
-    rows = sample_rows() + [ReportRow("ft", "old", 20, 0.5, 0.02, 5, 1, 0)]
+    rows = sample_rows() + [eval_row("ft", "old", 20, 0.5, 0.02, 5, 1, 0)]
     text = summary_markdown(rows)
     assert "## 3-way 2-shot (10 episodes)" in text
     assert "## 5-way 1-shot (20 episodes)" in text
@@ -409,6 +429,107 @@ def test_report_includes_sweep_sections(tiny_cfg, tmp_path):
     assert "## Alignment-weight sweep" in text
     assert "| 0.0 | 70.00 ± 1.00 |" in text
     assert "| 10.0 | 90.00 ± 1.00 |" in text
+
+
+REPORT_INPUTS = {
+    "eval_nu.csv": "old,40,0.95,0.02,3,2,7\nnew,40,0.4,0.05,3,2,7\n",
+    "eval_ft.csv": "old,40,0.8,0.03,3,2,7\nnew,40,0.9166666666666666,0.025,3,2,7\n"
+                   "unseen,40,0.7,0.04,3,2,7\n\nold,20,0.61,0.05,5,1,7\n",
+    "eval_ida.csv": "new,40,0.9166666666666666,0.026,3,2,7\nold,40,0.85,0.03,3,2,7\n"
+                    "old,20,0.66,0.04,5,1,7\nnew,20,0.5,0.06,5,1,7\n",
+    "eval_par.csv": "old,40,0.97,0.01,3,2,7\nnew,40,0.96,0.015,3,2,7\n"
+                    "unseen,40,0.9,0.02,3,2,7\n",
+    "eval_teacher.csv": "old,40,0.88,0.02,3,2,7\nheld_out,40,0.5,0.1,3,2,7\n"
+                        "old,20,0.66,0.05,5,1,7\n",
+    "eval_alt.csv": "aux,40,0.25,0.125,3,2,7\n",
+    "sweep_lambda.csv": "lambda,label,split,n,mean,ci,ways,shots,seed\n"
+                        "0.0,old,old,40,0.775,0.0373,3,2,1234\n"
+                        "0.0,new,new,40,0.78,0.0434,3,2,1234\n"
+                        "0.0,unseen,unseen,40,0.8517,0.0364,3,2,1234\n"
+                        "1.0,old,old,40,0.7833,0.0388,3,2,1234\n"
+                        "1.0,new,new,40,0.7817,0.0429,3,2,1234\n",
+    "sweep_exemplars.csv": "exemplars,label,split,n,mean,ci,ways,shots,seed\n"
+                           "3,old,old,40,0.7817,0.0383,3,2,1234\n"
+                           "6,old,old,40,0.7833,0.0388,3,2,1234\n"
+                           "6,new,new,40,0.7817,0.0429,3,2,1234\n",
+    "cross_way_shot.csv": "way_shot,label,split,n,mean,ci,ways,shots,seed\n"
+                          "2w1s,nu,unseen,40,0.9275,0.0384,2,1,1234\n"
+                          "3w1s,nu,unseen,40,0.795,0.0487,3,1,1234\n"
+                          "2w1s,ida,unseen,40,0.925,0.0414,2,1,1234\n"
+                          "3w1s,ida,unseen,40,0.81,0.0492,3,1,1234\n"
+                          "2w1s,range,,0,0.0025000000000000577,,,,\n"
+                          "3w1s,range,,0,0.015000000000000013,,,,\n",
+}
+
+# What `iml report` renders from REPORT_INPUTS: unknown methods and splits
+# after the known ones by name, bold ties, missing cells, range columns.
+REPORT_SUMMARY = (
+    "# Results\n"
+    "\n"
+    "## 3-way 2-shot (40 episodes)\n"
+    "\n"
+    "| method | old | new | unseen | aux | held_out |\n"
+    "| --- | --- | --- | --- | --- | --- |\n"
+    "| NU | 95.00 ± 2.00 | 40.00 ± 5.00 | — | — | — |\n"
+    "| FT | 80.00 ± 3.00 | **91.67 ± 2.50** | **70.00 ± 4.00** | — | — |\n"
+    "| IDA | 85.00 ± 3.00 | **91.67 ± 2.60** | — | — | — |\n"
+    "| PAR | 97.00 ± 1.00 | 96.00 ± 1.50 | 90.00 ± 2.00 | — | — |\n"
+    "| ALT | — | — | — | **25.00 ± 12.50** | — |\n"
+    "| TEACHER | **88.00 ± 2.00** | — | — | — | **50.00 ± 10.00** |\n"
+    "\n"
+    "## 5-way 1-shot (20 episodes)\n"
+    "\n"
+    "| method | old | new |\n"
+    "| --- | --- | --- |\n"
+    "| FT | 61.00 ± 5.00 | — |\n"
+    "| IDA | **66.00 ± 4.00** | **50.00 ± 6.00** |\n"
+    "| TEACHER | **66.00 ± 5.00** | — |\n"
+    "\n"
+    "## Alignment-weight sweep\n"
+    "\n"
+    "| lambda | old | new | unseen |\n"
+    "| --- | --- | --- | --- |\n"
+    "| 0.0 | 77.50 ± 3.73 | 78.00 ± 4.34 | 85.17 ± 3.64 |\n"
+    "| 1.0 | 78.33 ± 3.88 | 78.17 ± 4.29 | — |\n"
+    "\n"
+    "## Exemplar-budget sweep\n"
+    "\n"
+    "| exemplars | old | new |\n"
+    "| --- | --- | --- |\n"
+    "| 3 | 78.17 ± 3.83 | — |\n"
+    "| 6 | 78.33 ± 3.88 | 78.17 ± 4.29 |\n"
+    "\n"
+    "## Ways/shots grid\n"
+    "\n"
+    "| way_shot | nu | ida | range |\n"
+    "| --- | --- | --- | --- |\n"
+    "| 2w1s | 92.75 ± 3.84 | 92.50 ± 4.14 | 0.25 |\n"
+    "| 3w1s | 79.50 ± 4.87 | 81.00 ± 4.92 | 1.50 |\n"
+)
+
+EXEMPLAR_SECTION = (
+    "## Exemplar-budget sweep\n\n"
+    "| exemplars | old | new |\n"
+    "| --- | --- | --- |\n"
+    "| 3 | 78.17 ± 3.83 | — |\n"
+    "| 6 | 78.33 ± 3.88 | 78.17 ± 4.29 |\n\n"
+)
+
+
+def test_report_bytes_for_every_section_kind(tiny_cfg, tmp_path):
+    out = tmp_path / "run"
+    reports = out / "reports"
+    reports.mkdir(parents=True)
+    for name, text in REPORT_INPUTS.items():
+        header = CSV_HEADER + "\n" if name.startswith("eval_") else ""
+        reports.joinpath(name).write_text(header + text)
+    assert cmd_dispatch(["report", "-c", tiny_cfg, "--out", str(out)]) == 0
+    assert (reports / "summary.md").read_text() == REPORT_SUMMARY
+    # a zero-byte study file is skipped
+    reports.joinpath("sweep_exemplars.csv").write_text("")
+    assert cmd_dispatch(["report", "-c", tiny_cfg, "--out", str(out)]) == 0
+    assert EXEMPLAR_SECTION in REPORT_SUMMARY
+    assert (reports / "summary.md").read_text() == REPORT_SUMMARY.replace(EXEMPLAR_SECTION, "")
 
 
 def test_report_without_evals_fails(tiny_cfg, tmp_path, capsys):

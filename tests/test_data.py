@@ -9,7 +9,6 @@ from iml.data import (
     DatasetFormatError,
     Episode,
     EpisodeSpec,
-    ExemplarSet,
     SyntheticSpec,
     class_centers,
     concat_datasets,
@@ -338,19 +337,21 @@ def test_sample_anchor_subset_uniform():
 def test_reserve_exemplars():
     ds = gen_synthetic(small_spec(samples_per_class=20))
     ex = reserve_exemplars(ds, 15, np.random.default_rng(0))
+    assert ex.split_name == "exemplars"
     assert ex.classes == ds.classes
-    assert all(ex.count(c) == 15 for c in ex.classes)
-    # rows come from the dataset
-    all_rows = {tuple(r) for r in ds.features}
+    assert all(ex.class_index[c].size == 15 for c in ex.classes)
+    assert len(ex) == 15 * ds.n_classes
+    # rows come from the dataset, each under its own class
+    all_rows = {tuple(r): int(y) for r, y in zip(ds.features, ds.labels)}
     for c in ex.classes:
-        for row in ex.features_by_class[c]:
-            assert tuple(row) in all_rows
+        for row in ex.features[ex.class_index[c]]:
+            assert all_rows[tuple(row)] == c
 
 
 def test_reserve_exemplars_caps_at_class_size():
     ds = gen_synthetic(small_spec(samples_per_class=6))
     ex = reserve_exemplars(ds, 50, np.random.default_rng(1))
-    assert all(ex.count(c) == 6 for c in ex.classes)
+    assert all(ex.class_index[c].size == 6 for c in ex.classes)
 
 
 def test_reserve_exemplars_deterministic():
@@ -358,15 +359,6 @@ def test_reserve_exemplars_deterministic():
     a = reserve_exemplars(ds, 5, np.random.default_rng(9))
     b = reserve_exemplars(ds, 5, np.random.default_rng(9))
     for c in a.classes:
-        assert np.array_equal(a.features_by_class[c], b.features_by_class[c])
+        assert np.array_equal(a.features[a.class_index[c]], b.features[b.class_index[c]])
     with pytest.raises(ValueError, match="per_class"):
         reserve_exemplars(ds, 0, np.random.default_rng(0))
-
-
-def test_exemplar_set_as_dataset():
-    ds = gen_synthetic(small_spec())
-    ex = reserve_exemplars(ds, 4, np.random.default_rng(2))
-    flat = ex.as_dataset()
-    assert flat.n_classes == ds.n_classes
-    assert flat.min_class_count() == 4
-    assert len(flat) == 4 * ds.n_classes
