@@ -415,14 +415,18 @@ def _vjp_proto_sqdist(v, aux, out, saved, g, needs):
     return [gz]
 
 
-def _fwd_proto_xent(v, aux):
-    (d,) = v
-    y, t = aux
+def _xent_rows(d: Array, y: Array, t: float) -> tuple[Array, tuple]:
+    """Per-row d[y] / t + log sum_k exp(-d_k / t), and logsumexp's saved exponentials."""
     if t <= 0.0:
         raise ValueError(f"temperature must be positive, got {t}")
     pull = _fwd_rowsel([d], (y,)) * (1.0 / t)
     spread, exps = _fwd_lse_rows([d * (-1.0 / t)], ())
-    return _fwd_mean([_fwd_add([pull, spread], ())], ()), exps
+    return _fwd_add([pull, spread], ()), exps
+
+
+def _fwd_proto_xent(v, aux):
+    rows, exps = _xent_rows(v[0], *aux)
+    return _fwd_mean([rows], ()), exps
 
 
 def _vjp_proto_xent(v, aux, out, saved, g, needs):
@@ -578,14 +582,23 @@ def proto_xent(d, y, temperature: float) -> Tensor:
     )
 
 
-def prototype_distances(zs: Array, zq: Array, labels: Array, counts: Array) -> Array:
-    """``proto_sqdist``'s kernel, off the tape, on separate support and query rows.
+def proto_xent_rows(d: Array, y: Array, temperature: float) -> Array:
+    """``proto_xent``'s per-row terms, off the tape: their mean is its value, bitwise."""
+    return _xent_rows(d, y, temperature)[0]
 
-    `labels` gives each row of `zs` its class; `counts` is
-    ``np.bincount(labels)`` over all classes, each at least 1.  The caller
-    has checked both, so the kernel does not.
+
+def prototype_distances(support: Array, queries: Array) -> Array:
+    """``proto_sqdist``'s kernel, off the tape, bitwise, on E episodes at once.
+
+    ``support`` (E, K, S, F) holds S rows of each of K classes, ``queries``
+    is (E, Q, F); the result is (E, Q, K).  The caller checks the shapes.
     """
-    return _fwd_pairsq([zq, _class_means(zs, labels, counts)], ())[0]
+    e, q, f = queries.shape
+    k = support.shape[1]
+    d = np.repeat(queries, k, axis=1).reshape(e, q, k, f)
+    d -= (np.add.reduce(support, axis=2) / support.shape[2])[:, None]
+    d = d.reshape(e * q, k, f)
+    return np.einsum("ikj,ikj->ik", d, d).reshape(e, q, k)
 
 
 def tsum(x) -> Tensor:

@@ -624,16 +624,19 @@ def _cell(row: dict[str, str]) -> str:
 
 
 def summary_markdown(rows: list[dict[str, str]]) -> str:
-    """Methods-by-splits accuracy table(s), one per episode shape.
+    """Methods-by-splits accuracy table(s), one per episode shape and episode count.
 
     ``rows`` are eval CSV rows as ``_read_csv`` returns them, each with its
     ``method`` added.  The untouched baseline leads, the paragon closes,
     and the best mean among the remaining methods is bolded per column
     (ties all bold).
     """
+    def shape(r):
+        return int(r["ways"]), int(r["shots"]), int(r["n"])
+
     out = ["# Results", ""]
-    for ways, shots in sorted({(int(r["ways"]), int(r["shots"])) for r in rows}):
-        grp = [r for r in rows if (int(r["ways"]), int(r["shots"])) == (ways, shots)]
+    for ways, shots, n in sorted({shape(r) for r in rows}):
+        grp = [r for r in rows if shape(r) == (ways, shots, n)]
         found = {(r["method"], r["split"]): r for r in grp}
         adapted = [(s, float(r["mean"])) for (m, s), r in found.items() if m not in _UNADAPTED]
         best = {s: max(v for t, v in adapted if t == s) for s, _ in adapted}
@@ -643,7 +646,7 @@ def summary_markdown(rows: list[dict[str, str]]) -> str:
             cells.setdefault(m, {})[s] = f"**{_cell(r)}**" if bold else _cell(r)
         methods = _ordered(cells, METHOD_ORDER)
         splits = _ordered((r["split"] for r in grp), SPLIT_ORDER)
-        out += [f"## {ways}-way {shots}-shot ({int(grp[0]['n'])} episodes)", ""]
+        out += [f"## {ways}-way {shots}-shot ({n} episodes)", ""]
         out += _table("method", [m.upper() for m in methods], splits,
                       [cells[m] for m in methods]) + [""]
     return "\n".join(out)

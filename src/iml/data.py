@@ -104,11 +104,6 @@ class EpisodeSpec:
         if self.shots < 1 or self.queries < 1:
             raise ValueError("shots and queries must be at least 1")
 
-    def support_layout(self) -> tuple[Array, Array]:
-        """(local support labels, rows per class) of every episode drawn with this spec."""
-        return (np.repeat(np.arange(self.ways, dtype=np.int64), self.shots),
-                np.full(self.ways, self.shots, dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class Episode:
@@ -256,8 +251,14 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
     return Dataset(features, np.asarray(labels), split_name or path.stem)
 
 
-def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
-    """Draw ways classes, then shots+queries rows per class, all without replacement."""
+def draw_episode_rows(
+    dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
+) -> tuple[Array, Array]:
+    """Draw ways classes, then shots+queries rows per class, all without replacement.
+
+    Returns the class ids and a (ways, shots + queries) array of row
+    indices: class k's support rows, then its query rows, in row k.
+    """
     classes = dataset.class_ids
     if classes.size < spec.ways:
         raise ValueError(
@@ -266,22 +267,25 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
         )
     chosen = rng.choice(classes, size=spec.ways, replace=False)
     need = spec.shots + spec.queries
-    srows, qrows = [], []
-    for cid in chosen:
-        rows = dataset.class_index[int(cid)]
+    picks = np.empty((spec.ways, need), dtype=np.int64)
+    for k, cid in enumerate(chosen.tolist()):
+        rows = dataset.class_index[cid]
         if rows.size < need:
-            raise ValueError(
-                f"class {int(cid)} has {rows.size} rows; episode needs {need}"
-            )
-        pick = rng.choice(rows, size=need, replace=False)
-        srows.append(pick[: spec.shots])
-        qrows.append(pick[spec.shots :])
-    support_rows, query_rows = np.concatenate(srows), np.concatenate(qrows)
-    support_y = spec.support_layout()[0]
-    query_y = np.repeat(np.arange(spec.ways, dtype=np.int64), spec.queries)
+            raise ValueError(f"class {cid} has {rows.size} rows; episode needs {need}")
+        picks[k] = rng.choice(rows, size=need, replace=False)
+    return chosen, picks
+
+
+def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
+    """`draw_episode_rows`' draw, with the drawn inputs and local labels gathered."""
+    chosen, picks = draw_episode_rows(dataset, spec, rng)
+    support_rows = picks[:, :spec.shots].ravel()
+    query_rows = picks[:, spec.shots:].ravel()
+    local = np.arange(spec.ways, dtype=np.int64)
     return Episode(
-        dataset.features[support_rows], support_y, dataset.features[query_rows], query_y,
-        tuple(int(c) for c in chosen), support_rows, query_rows,
+        dataset.features[support_rows], np.repeat(local, spec.shots),
+        dataset.features[query_rows], np.repeat(local, spec.queries),
+        tuple(chosen.tolist()), support_rows, query_rows,
     )
 
 

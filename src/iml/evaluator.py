@@ -7,15 +7,13 @@ and re-running with the same snapshot and seed is bit-identical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import prototype_distances
-from .data import Dataset, EpisodeSpec, reserve_exemplars, sample_episode
+from .data import Dataset, EpisodeSpec, reserve_exemplars
 from .losses import MethodKind
-from .model import ModelSnapshot, embed, nearest_prototype_accuracy
+from .model import ModelSnapshot, embed, score_episodes
 from .trainer import TrainConfig, train_incremental
 
 
@@ -61,9 +59,8 @@ def evaluate(
 ) -> EvalReport:
     """Mean episode accuracy with a 95% interval over n independent episodes.
 
-    The dataset is embedded once; each episode gathers its rows from that
-    table.  `sample_episode` draws every episode with the spec's support
-    layout, so labels and class counts are built once, unchecked.
+    The dataset is embedded once; `score_episodes` draws episode i from
+    the generator seeded by (seed, i) and scores it from that table.
     """
     if n_episodes < 2:
         raise ValueError("evaluation needs at least two episodes for an interval")
@@ -73,18 +70,8 @@ def evaluate(
             f"dataset '{dataset.split_name}' is {dataset.dim}-dim"
         )
     z = embed(snapshot.params, dataset.features).data
-    labels, counts = spec.support_layout()
-
-    def one(i: int) -> float:
-        ep = sample_episode(dataset, spec, np.random.default_rng([seed, i]))
-        d = prototype_distances(z[ep.support_rows], z[ep.query_rows], labels, counts)
-        return nearest_prototype_accuracy(d, ep.query_y)
-
-    if workers <= 1:
-        accs = [one(i) for i in range(n_episodes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(one, range(n_episodes)))
+    accs, _ = score_episodes(z, dataset, spec, n_episodes,
+                             lambda i: np.random.default_rng([seed, i]), workers=workers)
     mean, half = confidence_interval(accs)
     return EvalReport(
         dataset.split_name, n_episodes, mean, half,

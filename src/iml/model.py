@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import copy
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
+from .data import Dataset, EpisodeSpec, draw_episode_rows
+
+# Bytes of query-minus-prototype differences `score_episodes` holds at once;
+# the kernel is memory-bound, and larger chunks measured slower at 20-way.
+SCORE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,8 @@ def prototype_sqdists(zs: Array, zq: Array, episode) -> Array:
             f"support needs equally many rows for each of {episode.n_ways} classes, "
             f"got counts {counts.tolist()}"
         )
-    return ad.prototype_distances(zs, zq, labels, counts)
+    support = zs[np.argsort(labels, kind="stable")].reshape(1, counts.size, -1, zs.shape[1])
+    return ad.prototype_distances(support, zq[None])[0]
 
 
 def nearest_prototype_accuracy(d: Array, query_y) -> float:
@@ -256,3 +264,45 @@ def score_episode(params: ParamStore, episode) -> float:
     return nearest_prototype_accuracy(
         prototype_sqdists(z[:n], z[n:], episode), episode.query_y
     )
+
+
+def score_episodes(
+    z: Array,
+    dataset: Dataset,
+    spec: EpisodeSpec,
+    n: int,
+    rng_of: Callable[[int], np.random.Generator],
+    temperature: float | None = None,
+    workers: int = 1,
+) -> tuple[Array, Array | None]:
+    """Per-episode accuracy, and meta loss at `temperature` if given, of n episodes.
+
+    Episode i is drawn from `rng_of(i)` and scored from `z`, the embedding of
+    every row of `dataset`, bitwise as `score_episode` and `proto_xent` score
+    it.  Episodes go in order, in chunks of `SCORE_CHUNK_BYTES`; with workers
+    > 1 a thread pool maps over the chunks, so each episode needs its own rng.
+    """
+    ways, shots, f = spec.ways, spec.shots, z.shape[1]
+    per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * ways * spec.queries * ways * f))
+    query_y = np.repeat(np.arange(ways), spec.queries)
+
+    def chunk(lo: int) -> tuple[Array, Array | None]:
+        picks = np.stack([draw_episode_rows(dataset, spec, rng_of(i))[1]
+                          for i in range(lo, min(n, lo + per_chunk))])
+        e = picks.shape[0]
+        d = ad.prototype_distances(z[picks[:, :, :shots]],
+                                   z[picks[:, :, shots:]].reshape(e, -1, f))
+        accs = (d.argmin(axis=2) == query_y).mean(axis=1)
+        if temperature is None:
+            return accs, None
+        rows = ad.proto_xent_rows(d.reshape(-1, ways), np.tile(query_y, e), temperature)
+        return accs, rows.reshape(e, -1).mean(axis=1)
+
+    starts = range(0, n, per_chunk)
+    if workers <= 1:
+        parts = [chunk(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, starts))
+    accs = np.concatenate([a for a, _ in parts])
+    return accs, None if temperature is None else np.concatenate([x for _, x in parts])

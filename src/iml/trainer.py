@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .anchorstore import extract_anchors
-from .autodiff import Array, Tape, Tensor, proto_xent, prototype_distances
+from .autodiff import Array, Tape, Tensor
 from .data import (
     Dataset, Episode, EpisodeSpec, sample_anchor_subset, sample_episode,
     write_text_atomic,
@@ -33,6 +33,7 @@ from .model import (
     init_backbone,
     merge_anchor_sets,
     nearest_prototype_accuracy,
+    score_episodes,
 )
 
 # Sub-stream tags hashed into every rng seed.
@@ -187,13 +188,8 @@ def _validate(
     """Mean meta loss and accuracy over validation episodes, from one embedding of `val_ds`."""
     rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, epoch])
     z = embed(params, val_ds.features).data
-    labels, counts = cfg.episode.support_layout()
-    losses, accs = [], []
-    for _ in range(cfg.val_episodes):
-        ep = sample_episode(val_ds, cfg.episode, rng)
-        d = prototype_distances(z[ep.support_rows], z[ep.query_rows], labels, counts)
-        losses.append(float(proto_xent(d, ep.query_y, cfg.temperature)))
-        accs.append(nearest_prototype_accuracy(d, ep.query_y))
+    accs, losses = score_episodes(z, val_ds, cfg.episode, cfg.val_episodes,
+                                  lambda i: rng, cfg.temperature)
     return float(np.mean(losses)), float(np.mean(accs))
 
 

@@ -414,6 +414,22 @@ def test_summary_groups_by_episode_shape():
     assert "## 5-way 1-shot (20 episodes)" in text
 
 
+def test_summary_separates_episode_counts():
+    # eval CSVs made with different eval.n_episodes at one shape get a table each
+    rows = [eval_row("ft", "old", 40, 0.80, 0.03, 5, 5, 0),
+            eval_row("ida", "old", 40, 0.85, 0.03, 5, 5, 0),
+            eval_row("ft", "old", 2000, 0.70, 0.01, 5, 5, 0),
+            eval_row("ida", "old", 2000, 0.75, 0.01, 5, 5, 0)]
+    text = summary_markdown(rows)
+    lines = text.splitlines()
+    assert [l for l in lines if l.startswith("## ")] == [
+        "## 5-way 5-shot (40 episodes)", "## 5-way 5-shot (2000 episodes)"]
+    assert text.count("| method | old |") == 2
+    few, many = text.split("## 5-way 5-shot (2000 episodes)")
+    assert "**85.00 ± 3.00**" in few and "75.00" not in few
+    assert "**75.00 ± 1.00**" in many and "85.00" not in many
+
+
 def test_report_includes_sweep_sections(tiny_cfg, tmp_path):
     out = tmp_path / "run"
     reports = out / "reports"

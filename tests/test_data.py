@@ -12,6 +12,7 @@ from iml.data import (
     SyntheticSpec,
     class_centers,
     concat_datasets,
+    draw_episode_rows,
     gen_synthetic,
     load_dataset,
     reserve_exemplars,
@@ -276,6 +277,43 @@ def test_sample_episode_records_rows():
         assert np.array_equal(ep.query_rows, np.concatenate([p[3:] for p in picks]))
 
 
+def uneven_dataset():
+    """Classes with 9 to 40 rows each, unsorted ids, rows of a class scattered."""
+    rng = np.random.default_rng(17)
+    ids = rng.permutation(np.arange(100, 100 + 3 * 12, 3))
+    labels = rng.permutation(np.repeat(ids, rng.integers(9, 41, size=ids.size)))
+    return Dataset(rng.standard_normal((labels.size, 2)), labels, "uneven")
+
+
+@pytest.mark.parametrize("make,spec", [
+    (lambda: gen_synthetic(small_spec()), EpisodeSpec(2, 1, 1)),
+    (lambda: gen_synthetic(small_spec()), EpisodeSpec(5, 5, 15)),
+    (lambda: gen_synthetic(small_spec(classes_per_domain=12)), EpisodeSpec(20, 1, 15)),
+    (uneven_dataset, EpisodeSpec(6, 3, 5)),
+], ids=["2w1s", "5w5s", "20w1s", "uneven"])
+def test_draw_episode_rows_is_sample_episode_draw(make, spec):
+    ds = make()
+    for seed in range(6):
+        for i in range(8):
+            a, b, c = (np.random.default_rng([seed, i]) for _ in range(3))
+            chosen, picks = draw_episode_rows(ds, spec, a)
+            ep = sample_episode(ds, spec, b)
+            assert chosen.dtype == picks.dtype == np.int64
+            assert picks.shape == (spec.ways, spec.shots + spec.queries)
+            assert tuple(chosen.tolist()) == ep.class_map
+            assert np.array_equal(picks[:, :spec.shots].ravel(), ep.support_rows)
+            assert np.array_equal(picks[:, spec.shots:].ravel(), ep.query_rows)
+            assert np.array_equal(ds.labels[picks], np.repeat(chosen[:, None], picks.shape[1], 1))
+            # the rows of one class choice, then one row choice per class
+            want = c.choice(ds.class_ids, size=spec.ways, replace=False)
+            assert np.array_equal(chosen, want)
+            for k, cid in enumerate(want):
+                rows = c.choice(ds.class_index[int(cid)], size=picks.shape[1], replace=False)
+                assert np.array_equal(picks[k], rows)
+            # all three made the same draws: the generators stand at the same state
+            assert a.random() == b.random() == c.random()
+
+
 def test_class_ids_built_once_and_sorted():
     labels = np.array([7, 2, 7, 11, 2, 2])
     ds = Dataset(np.zeros((6, 2)), labels)
@@ -290,13 +328,14 @@ def test_class_ids_built_once_and_sorted():
 
 def test_support_layout_is_every_drawn_episode_layout():
     ds = gen_synthetic(small_spec())
+    # shots rows per class, in class order: the layout scoring relies on
     for spec in (EpisodeSpec(2, 1, 1), EpisodeSpec(4, 3, 5), EpisodeSpec(8, 2, 2)):
-        labels, counts = spec.support_layout()
-        assert counts.dtype == labels.dtype == np.int64
+        labels = np.repeat(np.arange(spec.ways), spec.shots)
         for seed in range(5):
             ep = sample_episode(ds, spec, np.random.default_rng(seed))
+            assert ep.support_y.dtype == ep.query_y.dtype == np.int64
             assert np.array_equal(ep.support_y, labels)
-            assert np.array_equal(np.bincount(ep.support_y, minlength=spec.ways), counts)
+            assert np.array_equal(ep.query_y, np.repeat(np.arange(spec.ways), spec.queries))
 
 
 def test_episode_all_inputs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from iml.evaluator import (
 )
 from iml.losses import MethodKind
 from iml.model import (
+    SCORE_CHUNK_BYTES,
     AnchorSet,
     BackboneConfig,
     SnapshotMeta,
@@ -139,13 +142,18 @@ def test_evaluate_worker_count_does_not_change_result(base_snap, data):
     assert serial == threaded
 
 
-@pytest.mark.parametrize("ways,shots", [(5, 1), (5, 5), (20, 5)])
-def test_evaluate_matches_per_episode_oracle(base_snap, ways, shots):
-    """Scoring from one embedding table is bitwise re-embedding every episode."""
+def grid_data():
+    """20 classes of 22 rows: room for 20-way 5-shot 15-query episodes."""
     spec = SyntheticSpec(classes_per_domain=10, dim=DIM, cluster_std=0.6,
                          domain_offset=uniform_offset(1.0, DIM),
                          samples_per_class=22, seed=4)
-    ds = gen_synthetic(spec, sample_seed=0)
+    return gen_synthetic(spec, sample_seed=0)
+
+
+@pytest.mark.parametrize("ways,shots", [(5, 1), (5, 5), (20, 5)])
+def test_evaluate_matches_per_episode_oracle(base_snap, ways, shots):
+    """Scoring from one embedding table is bitwise re-embedding every episode."""
+    ds = grid_data()
     ep_spec = EpisodeSpec(ways, shots, 15)
     accs = [score_episode(base_snap.params,
                           sample_episode(ds, ep_spec, np.random.default_rng([9, i])))
@@ -155,6 +163,44 @@ def test_evaluate_matches_per_episode_oracle(base_snap, ways, shots):
     assert rep.mean_acc == mean and rep.ci95 == half
     assert 0.0 < half
     assert evaluate(base_snap, ds, ep_spec, 12, 9, workers=2) == rep
+
+
+def wide_snapshot(embed_dim=16, seed=5):
+    """An untrained snapshot with the benchmark's 16-dim embedding."""
+    config = BackboneConfig(DIM, (8,), embed_dim)
+    return freeze_snapshot(config, init_backbone(config, seed),
+                           AnchorSet((), np.zeros((0, embed_dim))), SnapshotMeta(seed, 0, "nu"))
+
+
+@pytest.mark.parametrize("ways,shots,n,per_chunk", [(5, 5, 47, 21), (20, 5, 7, 1)])
+def test_evaluate_matches_oracle_across_chunks(ways, shots, n, per_chunk):
+    """A last, partial chunk (and one-episode chunks) score bitwise like single episodes."""
+    snap, ds, spec = wide_snapshot(), grid_data(), EpisodeSpec(ways, shots, 15)
+    # episodes of 15 queries per class whose difference tensor fits the chunk budget
+    assert SCORE_CHUNK_BYTES // (8 * ways * 15 * ways * 16) == per_chunk
+    assert n % per_chunk != 0 or per_chunk == 1
+    accs = [score_episode(snap.params, sample_episode(ds, spec, np.random.default_rng([3, i])))
+            for i in range(n)]
+    mean, half = confidence_interval(accs)
+    rep = evaluate(snap, ds, spec, n, 3)
+    assert rep.mean_acc == mean and rep.ci95 == half
+    assert 0.0 < half
+    assert evaluate(snap, ds, spec, n, 3, workers=2) == rep
+
+
+def test_evaluate_peak_memory_is_one_chunk():
+    """Scoring holds one chunk at a time: 200 20-way 5-shot episodes need no more."""
+    snap, ds, spec = wide_snapshot(), grid_data(), EpisodeSpec(20, 5, 15)
+    table = len(ds) * 16 * 8  # the embedding of every row
+    evaluate(snap, ds, spec, 2, 0)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        evaluate(snap, ds, spec, 200, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one episode's difference tensor is 768 kB; all 200 at once would be 154 MB
+    assert peak - table < 4 * 2 ** 20, peak
 
 
 def test_evaluate_rejects_dim_mismatch(base_snap):

@@ -7,6 +7,7 @@ import pytest
 import iml.losses
 import iml.trainer
 from iml.anchorstore import snapshot_digest
+from iml.autodiff import proto_xent, prototype_distances
 from iml.data import (
     Dataset,
     EpisodeSpec,
@@ -319,6 +320,33 @@ def test_validate_matches_per_episode_oracle():
                                for ep in episodes]))
     want_acc = float(np.mean([score_episode(params, ep) for ep in episodes]))
     assert _validate(params, old_va, cfg, 1, 3) == (want_loss, want_acc)
+
+
+@pytest.mark.parametrize("round_index", [0, 1])
+@pytest.mark.parametrize("chunk_bytes", [None, 5 * 8 * 12 * 3 * 4])
+def test_validate_matches_one_episode_kernels(monkeypatch, round_index, chunk_bytes):
+    """Chunked validation is bitwise the off-tape kernels run one episode at a time.
+
+    Round 0 is base training's stream, round 1 an incremental round's; the
+    small chunk budget holds 5 of these episodes, so 17 end in a partial chunk.
+    """
+    _, old_va, _, new_va = domain_data()
+    val = new_va if round_index else old_va
+    cfg = small_cfg(val_episodes=17, temperature=0.7)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(iml.model, "SCORE_CHUNK_BYTES", chunk_bytes)
+    params = init_backbone(cfg.backbone, 2)
+    z = embed(params, val.features).data
+    rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, 4])
+    losses, accs = [], []
+    for _ in range(cfg.val_episodes):
+        ep = sample_episode(val, cfg.episode, rng)
+        support = z[ep.support_rows].reshape(1, ep.n_ways, cfg.episode.shots, -1)
+        d = prototype_distances(support, z[ep.query_rows][None])[0]
+        losses.append(float(proto_xent(d, ep.query_y, cfg.temperature)))
+        accs.append(float((d.argmin(axis=1) == ep.query_y).mean()))
+    want = (float(np.mean(losses)), float(np.mean(accs)))
+    assert _validate(params, val, cfg, round_index, 4) == want
 
 
 def spy_pre_update_params(monkeypatch):
