@@ -33,6 +33,8 @@ class Dataset:
     split_name: str = ""
     class_index: dict[int, Array] = field(init=False, repr=False)
     class_ids: Array = field(init=False, repr=False)  # sorted, int64
+    # eval_episode_rows' draws, keyed by (spec, n, seed)
+    _eval_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -274,6 +276,25 @@ def draw_episode_rows(
             raise ValueError(f"class {cid} has {rows.size} rows; episode needs {need}")
         picks[k] = rng.choice(rows, size=need, replace=False)
     return chosen, picks
+
+
+def eval_episode_rows(dataset: Dataset, spec: EpisodeSpec, n: int, seed: int) -> Array:
+    """The (n, ways, shots + queries) rows of evaluation episodes 0..n-1.
+
+    Episode i is `draw_episode_rows`' draw from the generator seeded by
+    (seed, i), so it depends on the table, spec, n and seed alone.  The
+    array is drawn once per table and key, stored read-only, and shared by
+    every later call.
+    """
+    key = (spec, n, seed)
+    picks = dataset._eval_rows.get(key)
+    if picks is None:
+        picks = np.empty((n, spec.ways, spec.shots + spec.queries), dtype=np.int64)
+        for i in range(n):
+            picks[i] = draw_episode_rows(dataset, spec, np.random.default_rng([seed, i]))[1]
+        picks.flags.writeable = False
+        dataset._eval_rows[key] = picks
+    return picks
 
 
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:

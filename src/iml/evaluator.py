@@ -2,7 +2,11 @@
 
 Episode i of an evaluation is drawn from its own generator seeded by
 (seed, i), so reports do not depend on execution order or worker count,
-and re-running with the same snapshot and seed is bit-identical.
+and re-running with the same snapshot and seed is bit-identical.  The
+episodes depend on the table, shape, count and seed alone, never on the
+snapshot: they are drawn once per table (`data.eval_episode_rows`) and
+every snapshot scored on that table meets the same ones, so comparisons
+between methods are paired.
 """
 from __future__ import annotations
 
@@ -11,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, EpisodeSpec, reserve_exemplars
+from .autodiff import Array
+from .data import Dataset, EpisodeSpec, eval_episode_rows, reserve_exemplars
 from .losses import MethodKind
 from .model import ModelSnapshot, embed, score_episodes
 from .trainer import TrainConfig, train_incremental
@@ -49,6 +54,16 @@ def confidence_interval(values) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var / n)
 
 
+def embed_table(snapshot: ModelSnapshot, dataset: Dataset) -> Array:
+    """The snapshot's embedding of every row of `dataset`, which `evaluate` scores from."""
+    if snapshot.config.input_dim != dataset.dim:
+        raise ValueError(
+            f"snapshot expects {snapshot.config.input_dim}-dim inputs, "
+            f"dataset '{dataset.split_name}' is {dataset.dim}-dim"
+        )
+    return embed(snapshot.params, dataset.features).data
+
+
 def evaluate(
     snapshot: ModelSnapshot,
     dataset: Dataset,
@@ -56,22 +71,21 @@ def evaluate(
     n_episodes: int,
     seed: int,
     workers: int = 1,
+    *,
+    z: Array | None = None,
 ) -> EvalReport:
     """Mean episode accuracy with a 95% interval over n independent episodes.
 
-    The dataset is embedded once; `score_episodes` draws episode i from
-    the generator seeded by (seed, i) and scores it from that table.
+    The episodes are `eval_episode_rows(dataset, spec, n_episodes, seed)`,
+    scored from one embedding of the dataset: `z` if the caller already
+    holds `embed_table(snapshot, dataset)`, else embedded here.
     """
     if n_episodes < 2:
         raise ValueError("evaluation needs at least two episodes for an interval")
-    if snapshot.config.input_dim != dataset.dim:
-        raise ValueError(
-            f"snapshot expects {snapshot.config.input_dim}-dim inputs, "
-            f"dataset '{dataset.split_name}' is {dataset.dim}-dim"
-        )
-    z = embed(snapshot.params, dataset.features).data
-    accs, _ = score_episodes(z, dataset, spec, n_episodes,
-                             lambda i: np.random.default_rng([seed, i]), workers=workers)
+    if z is None:
+        z = embed_table(snapshot, dataset)
+    picks = eval_episode_rows(dataset, spec, n_episodes, seed)
+    accs, _ = score_episodes(z, picks, spec.shots, workers=workers)
     mean, half = confidence_interval(accs)
     return EvalReport(
         dataset.split_name, n_episodes, mean, half,
@@ -178,6 +192,8 @@ def cross_way_shot(
 ) -> SweepTable:
     """Evaluate snapshots across a grid of episode shapes.
 
+    Each snapshot embeds the dataset once and scores every cell from it.
+
     The `ranges` attribute holds max-min of the mean accuracy across the
     snapshots for every (way, shot) cell.
     """
@@ -195,10 +211,11 @@ def cross_way_shot(
     rows = []
     means: dict[tuple[int, int], list[float]] = {}
     for label, snap in zip(labels, snapshots):
+        z = embed_table(snap, dataset)
         for way in ways:
             for shot in shots:
                 spec = EpisodeSpec(int(way), int(shot), queries)
-                rep = evaluate(snap, dataset, spec, n_episodes, seed)
+                rep = evaluate(snap, dataset, spec, n_episodes, seed, z=z)
                 rows.append(SweepRow((int(way), int(shot)), label, rep))
                 means.setdefault((int(way), int(shot)), []).append(rep.mean_acc)
     ranges = {key: max(vals) - min(vals) for key, vals in means.items()}

@@ -11,13 +11,11 @@ import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
-from .data import Dataset, EpisodeSpec, draw_episode_rows
 
 # Bytes of query-minus-prototype differences `score_episodes` holds at once;
 # the kernel is memory-bound, and larger chunks measured slower at 20-way.
@@ -268,30 +266,31 @@ def score_episode(params: ParamStore, episode) -> float:
 
 def score_episodes(
     z: Array,
-    dataset: Dataset,
-    spec: EpisodeSpec,
-    n: int,
-    rng_of: Callable[[int], np.random.Generator],
+    picks: Array,
+    shots: int,
     temperature: float | None = None,
     workers: int = 1,
 ) -> tuple[Array, Array | None]:
-    """Per-episode accuracy, and meta loss at `temperature` if given, of n episodes.
+    """Per-episode accuracy, and meta loss at `temperature` if given, of drawn episodes.
 
-    Episode i is drawn from `rng_of(i)` and scored from `z`, the embedding of
-    every row of `dataset`, bitwise as `score_episode` and `proto_xent` score
-    it.  Episodes go in order, in chunks of `SCORE_CHUNK_BYTES`; with workers
-    > 1 a thread pool maps over the chunks, so each episode needs its own rng.
+    `picks` holds one episode per row, (n, ways, shots + queries) indices
+    into `z`, support rows first, as `data.draw_episode_rows` draws them;
+    `z` embeds every row of their dataset.  Each episode scores bitwise as
+    `score_episode` and `proto_xent` score it.  Episodes go in order, in
+    chunks of `SCORE_CHUNK_BYTES`; with workers > 1 a thread pool maps over
+    the chunks.
     """
-    ways, shots, f = spec.ways, spec.shots, z.shape[1]
-    per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * ways * spec.queries * ways * f))
-    query_y = np.repeat(np.arange(ways), spec.queries)
+    n, ways, need = picks.shape
+    f = z.shape[1]
+    queries = need - shots
+    per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * ways * queries * ways * f))
+    query_y = np.repeat(np.arange(ways), queries)
 
     def chunk(lo: int) -> tuple[Array, Array | None]:
-        picks = np.stack([draw_episode_rows(dataset, spec, rng_of(i))[1]
-                          for i in range(lo, min(n, lo + per_chunk))])
-        e = picks.shape[0]
-        d = ad.prototype_distances(z[picks[:, :, :shots]],
-                                   z[picks[:, :, shots:]].reshape(e, -1, f))
+        part = picks[lo:lo + per_chunk]
+        e = part.shape[0]
+        d = ad.prototype_distances(z[part[:, :, :shots]],
+                                   z[part[:, :, shots:]].reshape(e, -1, f))
         accs = (d.argmin(axis=2) == query_y).mean(axis=1)
         if temperature is None:
             return accs, None

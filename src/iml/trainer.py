@@ -18,8 +18,8 @@ import numpy as np
 from .anchorstore import extract_anchors
 from .autodiff import Array, Tape, Tensor
 from .data import (
-    Dataset, Episode, EpisodeSpec, sample_anchor_subset, sample_episode,
-    write_text_atomic,
+    Dataset, Episode, EpisodeSpec, draw_episode_rows, sample_anchor_subset,
+    sample_episode, write_text_atomic,
 )
 from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
 from .model import (
@@ -187,9 +187,10 @@ def _validate(
 ) -> tuple[float, float]:
     """Mean meta loss and accuracy over validation episodes, from one embedding of `val_ds`."""
     rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, epoch])
+    picks = np.stack([draw_episode_rows(val_ds, cfg.episode, rng)[1]
+                      for _ in range(cfg.val_episodes)])
     z = embed(params, val_ds.features).data
-    accs, losses = score_episodes(z, val_ds, cfg.episode, cfg.val_episodes,
-                                  lambda i: rng, cfg.temperature)
+    accs, losses = score_episodes(z, picks, cfg.episode.shots, cfg.temperature)
     return float(np.mean(losses)), float(np.mean(accs))
 
 

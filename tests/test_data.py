@@ -13,6 +13,7 @@ from iml.data import (
     class_centers,
     concat_datasets,
     draw_episode_rows,
+    eval_episode_rows,
     gen_synthetic,
     load_dataset,
     reserve_exemplars,
@@ -312,6 +313,48 @@ def test_draw_episode_rows_is_sample_episode_draw(make, spec):
                 assert np.array_equal(picks[k], rows)
             # all three made the same draws: the generators stand at the same state
             assert a.random() == b.random() == c.random()
+
+
+def oracle_eval_rows(ds, spec, n, seed):
+    return np.stack([draw_episode_rows(ds, spec, np.random.default_rng([seed, i]))[1]
+                     for i in range(n)])
+
+
+def test_eval_episode_rows_of_each_count_are_correct():
+    """n = 100 and n = 200 on one table each hold episodes 0..n-1 of their seed."""
+    ds, spec = gen_synthetic(small_spec()), EpisodeSpec(5, 2, 3)
+    short, long = eval_episode_rows(ds, spec, 100, 4), eval_episode_rows(ds, spec, 200, 4)
+    assert short.shape == (100, 5, 5) and long.shape == (200, 5, 5)
+    assert np.array_equal(short, oracle_eval_rows(ds, spec, 100, 4))
+    assert np.array_equal(long, oracle_eval_rows(ds, spec, 200, 4))
+
+
+def test_eval_episode_rows_keeps_one_entry_per_key():
+    """A key differing from another in any one field gets its own draw."""
+    ds, spec = gen_synthetic(small_spec()), EpisodeSpec(5, 2, 3)
+    first = eval_episode_rows(ds, spec, 10, 1)
+    keys = [(EpisodeSpec(4, 2, 3), 10, 1), (EpisodeSpec(5, 1, 3), 10, 1),
+            (EpisodeSpec(5, 2, 4), 10, 1), (spec, 11, 1), (spec, 10, 2)]
+    for key in keys:
+        got = eval_episode_rows(ds, *key)
+        assert got is not first
+        assert np.array_equal(got, oracle_eval_rows(ds, *key))
+        assert eval_episode_rows(ds, *key) is got
+    assert eval_episode_rows(ds, spec, 10, 1) is first
+    assert np.array_equal(first, oracle_eval_rows(ds, spec, 10, 1))
+    # the store belongs to the table: a fresh copy draws again, the same rows
+    copy = Dataset(ds.features, ds.labels, ds.split_name)
+    again = eval_episode_rows(copy, spec, 10, 1)
+    assert again is not first and np.array_equal(again, first)
+    assert "_eval_rows" not in repr(ds)
+
+
+def test_eval_episode_rows_are_read_only():
+    ds = gen_synthetic(small_spec())
+    picks = eval_episode_rows(ds, EpisodeSpec(3, 1, 2), 5, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        picks[0, 0, 0] = 0
+    assert eval_episode_rows(ds, EpisodeSpec(3, 1, 2), 5, 0) is picks
 
 
 def test_class_ids_built_once_and_sorted():

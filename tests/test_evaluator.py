@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import iml.data
+import iml.evaluator
 from iml.anchorstore import snapshot_digest
 from iml.data import (
     Dataset, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, uniform_offset,
@@ -201,6 +203,63 @@ def test_evaluate_peak_memory_is_one_chunk():
         tracemalloc.stop()
     # one episode's difference tensor is 768 kB; all 200 at once would be 154 MB
     assert peak - table < 4 * 2 ** 20, peak
+
+
+def fresh(ds):
+    """A copy of `ds` that shares no drawn episodes with it."""
+    return Dataset(ds.features, ds.labels, ds.split_name)
+
+
+def test_evaluations_share_one_draw_per_split(monkeypatch, data):
+    """Six snapshots on three splits draw each split's n episodes once: 3 x n draws."""
+    draws = []
+    real = iml.data.draw_episode_rows
+
+    def counting(*args):
+        draws.append(args[0].split_name)
+        return real(*args)
+
+    monkeypatch.setattr(iml.data, "draw_episode_rows", counting)
+    splits = [fresh(data[k]) for k in ("old_te", "new_te", "old_va")]
+    snaps = [wide_snapshot(embed_dim=DIM, seed=s) for s in range(6)]
+    reports = [evaluate(snap, ds, EpisodeSpec(3, 2, 4), 20, 8) for snap in snaps for ds in splits]
+    assert len(draws) == 3 * 20
+    assert len({(r.mean_acc, r.ci95) for r in reports}) > 3  # the snapshots do differ
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ways,shots", [(5, 1), (20, 5)])
+def test_warm_table_reports_equal_fresh_copy(ways, shots, workers):
+    """Scoring from stored draws gives the reports a table that draws anew gives."""
+    ds, spec = grid_data(), EpisodeSpec(ways, shots, 15)
+    snaps = [wide_snapshot(seed=s) for s in (5, 6)]
+    for snap in snaps:  # the first call draws, every later one reads the stored rows
+        evaluate(snap, ds, spec, 30, 2, workers=workers)
+    warm = [evaluate(snap, ds, spec, 30, 2, workers=workers) for snap in snaps]
+    cold = [evaluate(snap, fresh(ds), spec, 30, 2, workers=workers) for snap in snaps]
+    assert warm == cold
+    assert warm[0] != warm[1]
+
+
+def test_cross_way_shot_embeds_each_snapshot_once(monkeypatch):
+    """One embedding per snapshot serves every cell, and the rows are per-cell `evaluate`'s."""
+    embedded = []
+    real = iml.evaluator.embed
+
+    def counting(params, x):
+        embedded.append(x.shape[0])
+        return real(params, x)
+
+    ds, snaps = grid_data(), [wide_snapshot(seed=s) for s in (5, 6, 7)]
+    monkeypatch.setattr(iml.evaluator, "embed", counting)
+    table = cross_way_shot(snaps, [5, 10], [1, 5], ds, 12, 0)
+    assert embedded == [len(ds)] * len(snaps)
+    monkeypatch.undo()
+    cells = [(snap, (way, shot)) for snap in snaps for way in (5, 10) for shot in (1, 5)]
+    assert len(table.rows) == len(cells)
+    for row, (snap, (way, shot)) in zip(table.rows, cells):
+        assert row.axis_value == (way, shot)
+        assert row.report == evaluate(snap, fresh(ds), EpisodeSpec(way, shot, 15), 12, 0)
 
 
 def test_evaluate_rejects_dim_mismatch(base_snap):
