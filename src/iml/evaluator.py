@@ -6,7 +6,10 @@ and re-running with the same snapshot and seed is bit-identical.  The
 episodes depend on the table, shape, count and seed alone, never on the
 snapshot: they are drawn once per table (`data.eval_episode_rows`) and
 every snapshot scored on that table meets the same ones, so comparisons
-between methods are paired.
+between methods are paired.  Scoring needs only each query's nearest class
+mean, which `model.nearest_prototypes` finds from a GEMM and certifies
+against the exact difference kernel, so every accuracy is bitwise the one
+that kernel gives an episode at a time.
 """
 from __future__ import annotations
 
@@ -84,6 +87,11 @@ def evaluate(
         raise ValueError("evaluation needs at least two episodes for an interval")
     if z is None:
         z = embed_table(snapshot, dataset)
+    elif z.shape != (len(dataset), snapshot.config.embed_dim):
+        raise ValueError(
+            f"z has shape {z.shape}, but embedding dataset '{dataset.split_name}' "
+            f"gives {(len(dataset), snapshot.config.embed_dim)}"
+        )
     picks = eval_episode_rows(dataset, spec, n_episodes, seed)
     accs, _ = score_episodes(z, picks, spec.shots, workers=workers)
     mean, half = confidence_interval(accs)
@@ -136,13 +144,15 @@ def sweep_lambda(
 ) -> SweepTable:
     """Retrain the anchor-KL method at each weight and evaluate every split.
 
-    All runs share the config seed, so the zero-weight row coincides with
-    plain fine-tuning.
+    Every weight is checked before the first run.  All runs share the
+    config seed, so the zero-weight row coincides with plain fine-tuning.
     """
+    values = list(values)
+    negative = [lam for lam in values if lam < 0]
+    if negative:
+        raise ValueError(f"alignment weights must be non-negative, got {negative}")
     rows = []
     for lam in values:
-        if lam < 0:
-            raise ValueError(f"alignment weight must be non-negative, got {lam}")
         snap = train_incremental(
             base, new_ds, new_val, MethodKind.IDA, replace(cfg, lam=float(lam))
         )
@@ -163,10 +173,16 @@ def sweep_exemplars(
     n_episodes: int,
     eval_seed: int,
 ) -> SweepTable:
-    """Retrain the exemplar method at each per-class budget and evaluate."""
+    """Retrain the exemplar method at each per-class budget and evaluate.
+
+    Every budget is checked before the first run.
+    """
+    counts = [int(c) for c in counts]
+    empty = [c for c in counts if c < 1]
+    if empty:
+        raise ValueError(f"exemplar budgets must be at least 1 per class, got {empty}")
     rows = []
     for count in counts:
-        count = int(count)
         ex = reserve_exemplars(
             old_ds, count, np.random.default_rng([cfg.seed, 301, count])
         )

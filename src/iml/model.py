@@ -17,8 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
 
-# Bytes of query-minus-prototype differences `score_episodes` holds at once;
-# the kernel is memory-bound, and larger chunks measured slower at 20-way.
+# Bytes of working arrays `score_episodes` holds per chunk: validation's
+# query-minus-prototype differences, or evaluation's gathered rows plus its
+# (queries, ways) distances and mask.  1-4 MiB measured fastest, 256 KiB and
+# 16 MiB slower.
 SCORE_CHUNK_BYTES = 1 << 20
 
 
@@ -264,6 +266,42 @@ def score_episode(params: ParamStore, episode) -> float:
     )
 
 
+def nearest_prototypes(support: Array, queries: Array) -> Array:
+    """``prototype_distances(support, queries).argmin(axis=2)``, from a GEMM.
+
+    ``support`` is (E, K, S, F) and ``queries`` (E, Q, F), as for
+    `autodiff.prototype_distances`; the result is (E, Q) class indices.  The
+    class means are that kernel's, bitwise, and d = |q|^2 - 2 q.c + |c|^2
+    comes from one batched matmul.  With n = F + 3, u the unit roundoff and
+    g = n u / (1 - n u), each d lies within b = 2 g (|q| + max_k |c_k|)^2
+    (plus n times the smallest normal, for underflow) of the exact kernel's
+    float output.  A query whose only class with d <= min d + 2b is its
+    argmin therefore has that exact argmin, with no tie.  Every other query
+    is decided by the exact kernel on its episode, one episode per call as
+    `score_episode` makes it.  That covers non-finite values: a nan in a
+    query's distances lets no class pass, and an inf in its rows or its
+    episode's means makes b infinite, so that every class passes.
+    """
+    protos = np.add.reduce(support, axis=2) / support.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fall back
+        qq = np.einsum("eqf,eqf->eq", queries, queries)
+        cc = np.einsum("ekf,ekf->ek", protos, protos)
+        d = np.matmul(protos, queries.transpose(0, 2, 1))  # (E, K, Q)
+        d *= -2.0
+        d += qq[:, None, :]
+        d += cc[:, :, None]
+        fi = np.finfo(d.dtype)
+        n = queries.shape[2] + 3
+        g = n * (fi.eps / 2) / (1 - n * (fi.eps / 2))
+        reach = np.sqrt(qq) + np.sqrt(cc.max(axis=1))[:, None]
+        top = d.min(axis=1) + 2 * (2 * g * reach * reach + n * fi.tiny)
+        below = d <= top[:, None, :]
+    nearest = below.argmax(axis=1)
+    for i in np.flatnonzero((below.sum(axis=1) != 1).any(axis=1)):
+        nearest[i] = ad.prototype_distances(support[i:i + 1], queries[i:i + 1])[0].argmin(axis=1)
+    return nearest
+
+
 def score_episodes(
     z: Array,
     picks: Array,
@@ -276,24 +314,26 @@ def score_episodes(
     `picks` holds one episode per row, (n, ways, shots + queries) indices
     into `z`, support rows first, as `data.draw_episode_rows` draws them;
     `z` embeds every row of their dataset.  Each episode scores bitwise as
-    `score_episode` and `proto_xent` score it.  Episodes go in order, in
-    chunks of `SCORE_CHUNK_BYTES`; with workers > 1 a thread pool maps over
-    the chunks.
+    `score_episode` and `proto_xent` score it: accuracy alone goes through
+    `nearest_prototypes`, the loss through `autodiff.prototype_distances`.
+    Episodes go in order, in chunks of `SCORE_CHUNK_BYTES`; with workers > 1
+    a thread pool maps over the chunks.
     """
     n, ways, need = picks.shape
     f = z.shape[1]
-    queries = need - shots
-    per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * ways * queries * ways * f))
-    query_y = np.repeat(np.arange(ways), queries)
+    q = ways * (need - shots)
+    held = ways * need * f + 2 * q * ways if temperature is None else q * ways * f
+    per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * held))
+    query_y = np.repeat(np.arange(ways), need - shots)
 
     def chunk(lo: int) -> tuple[Array, Array | None]:
         part = picks[lo:lo + per_chunk]
         e = part.shape[0]
-        d = ad.prototype_distances(z[part[:, :, :shots]],
-                                   z[part[:, :, shots:]].reshape(e, -1, f))
-        accs = (d.argmin(axis=2) == query_y).mean(axis=1)
+        support, queries = z[part[:, :, :shots]], z[part[:, :, shots:]].reshape(e, -1, f)
         if temperature is None:
-            return accs, None
+            return (nearest_prototypes(support, queries) == query_y).mean(axis=1), None
+        d = ad.prototype_distances(support, queries)
+        accs = (d.argmin(axis=2) == query_y).mean(axis=1)
         rows = ad.proto_xent_rows(d.reshape(-1, ways), np.tile(query_y, e), temperature)
         return accs, rows.reshape(e, -1).mean(axis=1)
 

@@ -5,6 +5,7 @@ import pytest
 
 import iml.data
 import iml.evaluator
+import iml.model
 from iml.anchorstore import snapshot_digest
 from iml.data import (
     Dataset, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, uniform_offset,
@@ -175,16 +176,26 @@ def wide_snapshot(embed_dim=16, seed=5):
 
 
 @pytest.mark.parametrize("ways,shots,n,per_chunk", [(5, 5, 47, 21), (20, 5, 7, 1)])
-def test_evaluate_matches_oracle_across_chunks(ways, shots, n, per_chunk):
+def test_evaluate_matches_oracle_across_chunks(monkeypatch, ways, shots, n, per_chunk):
     """A last, partial chunk (and one-episode chunks) score bitwise like single episodes."""
     snap, ds, spec = wide_snapshot(), grid_data(), EpisodeSpec(ways, shots, 15)
-    # episodes of 15 queries per class whose difference tensor fits the chunk budget
-    assert SCORE_CHUNK_BYTES // (8 * ways * 15 * ways * 16) == per_chunk
-    assert n % per_chunk != 0 or per_chunk == 1
+    # accuracy holds an episode's gathered rows plus two (queries, ways) arrays
+    episode_bytes = 8 * (ways * (shots + 15) * 16 + 2 * (ways * 15) * ways)
+    assert SCORE_CHUNK_BYTES // episode_bytes > per_chunk  # the real budget holds more
+    monkeypatch.setattr(iml.model, "SCORE_CHUNK_BYTES", per_chunk * episode_bytes)
+    chunks = []
+    real = iml.model.nearest_prototypes
+
+    def spy(support, queries):
+        chunks.append(support.shape[0])
+        return real(support, queries)
+
+    monkeypatch.setattr(iml.model, "nearest_prototypes", spy)
     accs = [score_episode(snap.params, sample_episode(ds, spec, np.random.default_rng([3, i])))
             for i in range(n)]
     mean, half = confidence_interval(accs)
     rep = evaluate(snap, ds, spec, n, 3)
+    assert chunks == [per_chunk] * (n // per_chunk) + [n % per_chunk] * (n % per_chunk > 0)
     assert rep.mean_acc == mean and rep.ci95 == half
     assert 0.0 < half
     assert evaluate(snap, ds, spec, n, 3, workers=2) == rep
@@ -201,7 +212,7 @@ def test_evaluate_peak_memory_is_one_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one episode's difference tensor is 768 kB; all 200 at once would be 154 MB
+    # a chunk's working arrays fit in 1 MiB; the exact kernel on all 200 at once would take 154 MB
     assert peak - table < 4 * 2 ** 20, peak
 
 
@@ -266,6 +277,17 @@ def test_evaluate_rejects_dim_mismatch(base_snap):
     ds = Dataset(np.zeros((40, DIM + 3)), np.repeat(np.arange(4), 10), "wide")
     with pytest.raises(ValueError, match=f"{DIM}-dim inputs.*'wide' is {DIM + 3}-dim"):
         evaluate(base_snap, ds, EpisodeSpec(3, 1, 2), 5, 0)
+
+
+def test_evaluate_rejects_table_of_wrong_shape(base_snap, data):
+    ds = data["old_te"]
+    good = iml.evaluator.embed_table(base_snap, ds)
+    for z in (good[:, :3], good[1:], np.zeros((len(ds), DIM + 1))):
+        with pytest.raises(ValueError, match=rf"z has shape \({z.shape[0]}, {z.shape[1]}\).*"
+                                             rf"gives \({len(ds)}, {DIM}\)"):
+            evaluate(base_snap, ds, EpisodeSpec(3, 2, 4), 5, 0, z=z)
+    assert evaluate(base_snap, ds, EpisodeSpec(3, 2, 4), 5, 0, z=good) == \
+        evaluate(base_snap, ds, EpisodeSpec(3, 2, 4), 5, 0)
 
 
 def test_evaluate_seed_changes_episodes(base_snap, data):
@@ -365,6 +387,33 @@ def test_sweep_lambda_rejects_negative(base_snap, data):
     with pytest.raises(ValueError):
         sweep_lambda(base_snap, data["new_tr"], data["new_va"],
                      {"old": data["old_te"]}, [-1.0], quick_cfg(), 5, 0)
+
+
+def count_training_runs(monkeypatch):
+    runs = []
+    real = iml.evaluator.train_incremental
+
+    def counting(*args, **kwargs):
+        runs.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iml.evaluator, "train_incremental", counting)
+    return runs
+
+
+def test_sweeps_check_the_whole_grid_before_training(monkeypatch, base_snap, data):
+    runs = count_training_runs(monkeypatch)
+    splits = {"old": data["old_te"]}
+    with pytest.raises(ValueError, match=r"non-negative, got \[-1\]"):
+        sweep_lambda(base_snap, data["new_tr"], data["new_va"], splits,
+                     [0.5, -1], quick_cfg(), 5, 0)
+    with pytest.raises(ValueError, match=r"at least 1 per class, got \[0\]"):
+        sweep_exemplars(base_snap, data["old_tr"], data["new_tr"], data["new_va"],
+                        iter([2, 0]), quick_cfg(), splits, 5, 0)
+    assert runs == []
+    sweep_exemplars(base_snap, data["old_tr"], data["new_tr"], data["new_va"],
+                    iter([2, 3]), quick_cfg(), splits, 5, 0)
+    assert runs == [MethodKind.EIML] * 2
 
 
 def test_sweep_lambda_zero_weight_equals_plain_finetune(base_snap, data):

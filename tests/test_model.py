@@ -14,6 +14,7 @@ from iml.model import (
     freeze_snapshot,
     init_backbone,
     merge_anchor_sets,
+    nearest_prototypes,
     prototype_sqdists,
     score_episode,
 )
@@ -135,6 +136,83 @@ def test_prototype_sqdists_match_tape_ops():
         ep = Episode(zs, sy, zq, np.zeros(3 * ways, dtype=np.int64), tuple(range(ways)))
         want = ad.pairwise_sqdist(zq, ad.class_means(zs, sy, ways)).data
         assert np.array_equal(prototype_sqdists(zs, zq, ep), want)
+
+
+def exact_nearest(support, queries):
+    return ad.prototype_distances(support, queries).argmin(axis=2)
+
+
+def spy_exact_calls(monkeypatch):
+    """Record the episode count of every call to the exact distance kernel."""
+    calls = []
+    real = ad.prototype_distances
+
+    def spy(support, queries):
+        calls.append(support.shape[0])
+        return real(support, queries)
+
+    monkeypatch.setattr(ad, "prototype_distances", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ways", [2, 5, 20])
+def test_nearest_prototypes_is_exact_argmin_at_every_scale(monkeypatch, ways):
+    """Spread and offset from 1e-3 to 1e3, near and far queries alike."""
+    rng = np.random.default_rng(ways)
+    for spread in 10.0 ** np.arange(-3, 4):
+        for offset in (0.0, 1e-3, 1.0, 1e3):
+            centre = offset * rng.standard_normal(16)
+            support = centre + spread * rng.standard_normal((4, ways, 3, 16))
+            queries = centre + spread * rng.standard_normal((4, 15 * ways, 16))
+            want = exact_nearest(support, queries)
+            calls = spy_exact_calls(monkeypatch)
+            assert np.array_equal(nearest_prototypes(support, queries), want)
+            monkeypatch.undo()
+            if offset <= spread:  # no cancellation: every query is certified
+                assert calls == []
+
+
+def test_nearest_prototypes_duplicate_classes_tie_to_lowest_index(monkeypatch):
+    rng = np.random.default_rng(0)
+    support = rng.standard_normal((3, 5, 4, 16))
+    support[:, 3] = support[:, 1]  # classes 1 and 3 share every support row
+    queries = support[:, 1].mean(axis=1)[:, None] + 1e-3 * rng.standard_normal((3, 40, 16))
+    want = exact_nearest(support, queries)
+    assert (want == 1).all()
+    calls = spy_exact_calls(monkeypatch)
+    assert np.array_equal(nearest_prototypes(support, queries), want)
+    assert calls == [1, 1, 1]  # each tied episode took the exact kernel
+
+
+def test_nearest_prototypes_one_ulp_from_a_tie(monkeypatch):
+    """Means 0 and 2 e_0; one episode each for a query one ulp below, at, and above 1 e_0."""
+    support = np.zeros((3, 2, 2, 16))
+    support[:, 1, :, 0] = 2.0
+    queries = np.zeros((3, 1, 16))
+    queries[:, 0, 0] = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    for scale in (2.0 ** -20, 1.0, 2.0 ** 20):  # powers of two keep the tie exact
+        want = exact_nearest(scale * support, scale * queries)
+        assert want.tolist() == [[0], [0], [1]]
+        calls = spy_exact_calls(monkeypatch)
+        assert np.array_equal(nearest_prototypes(scale * support, scale * queries), want)
+        assert calls == [1, 1, 1]  # near ties are within the bound, not only exact ones
+        monkeypatch.undo()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf means
+def test_nearest_prototypes_non_finite_rows_take_the_exact_kernel(monkeypatch):
+    rng = np.random.default_rng(1)
+    support = rng.standard_normal((6, 5, 3, 16))
+    queries = rng.standard_normal((6, 20, 16))
+    queries[1, 4, 2] = np.nan
+    queries[2, 7] = -np.inf
+    support[3, 2, 0, 5] = np.inf
+    support[4, 0, 0, 1], support[4, 0, 1, 1] = np.inf, -np.inf  # a nan mean
+    queries[5, 0, 0] = np.inf
+    want = exact_nearest(support, queries)
+    calls = spy_exact_calls(monkeypatch)
+    assert np.array_equal(nearest_prototypes(support, queries), want)
+    assert calls == [1] * 5  # every episode but the clean first one
 
 
 def test_prototype_sqdists_needs_equal_classes():
