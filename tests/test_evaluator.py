@@ -389,7 +389,7 @@ def test_sweep_lambda_rejects_negative(base_snap, data):
                      {"old": data["old_te"]}, [-1.0], quick_cfg(), 5, 0)
 
 
-def count_training_runs(monkeypatch):
+def test_sweeps_check_the_whole_grid_before_training(monkeypatch, base_snap, data):
     runs = []
     real = iml.evaluator.train_incremental
 
@@ -398,11 +398,6 @@ def count_training_runs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(iml.evaluator, "train_incremental", counting)
-    return runs
-
-
-def test_sweeps_check_the_whole_grid_before_training(monkeypatch, base_snap, data):
-    runs = count_training_runs(monkeypatch)
     splits = {"old": data["old_te"]}
     with pytest.raises(ValueError, match=r"non-negative, got \[-1\]"):
         sweep_lambda(base_snap, data["new_tr"], data["new_va"], splits,
