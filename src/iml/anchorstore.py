@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Dataset, write_text_atomic
 from .model import (
     AnchorSet, BackboneConfig, ModelSnapshot, ParamStore, SnapshotMeta, embed, freeze_snapshot,
@@ -36,11 +37,9 @@ def extract_anchors(params: ParamStore, dataset: Dataset, round_tag: int = 0) ->
     if len(dataset) == 0:
         raise ValueError("cannot extract anchors from an empty dataset")
     z = embed(params, dataset.features).data
-    ids = dataset.classes
-    centers = np.empty((len(ids), z.shape[1]), dtype=np.float64)
-    for i, cid in enumerate(ids):
-        centers[i] = z[dataset.class_index[cid]].mean(axis=0)
-    return AnchorSet(ids, centers, round_tag)
+    local = np.searchsorted(dataset.class_ids, dataset.labels)
+    centers = ad.class_means(z, local, dataset.n_classes).data
+    return AnchorSet(dataset.classes, centers, round_tag)
 
 
 def _payload(snapshot: ModelSnapshot) -> bytes:

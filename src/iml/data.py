@@ -111,25 +111,21 @@ class EpisodeSpec:
 class Episode:
     """One sampled task; labels are local 0..K-1, class_map holds global ids.
 
-    `support_rows` and `query_rows` are the dataset rows the inputs were
-    drawn from, so a table of per-row embeddings can be gathered instead of
-    re-embedding the inputs; hand-built episodes leave them unset.
+    `inputs` holds the support rows, then the query rows: the layout
+    `autodiff.proto_sqdist` reads.  `rows` are the dataset rows they were
+    gathered from, so a table of per-row embeddings can be gathered instead
+    of re-embedding them; hand-built episodes leave it unset.
     """
 
-    support_x: Array
+    inputs: Array
     support_y: Array
-    query_x: Array
     query_y: Array
     class_map: tuple[int, ...]
-    support_rows: Array | None = None
-    query_rows: Array | None = None
+    rows: Array | None = None
 
     @property
     def n_ways(self) -> int:
         return len(self.class_map)
-
-    def all_inputs(self) -> Array:
-        return np.vstack([self.support_x, self.query_x])
 
 
 @dataclass(frozen=True)
@@ -300,13 +296,11 @@ def eval_episode_rows(dataset: Dataset, spec: EpisodeSpec, n: int, seed: int) ->
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
     """`draw_episode_rows`' draw, with the drawn inputs and local labels gathered."""
     chosen, picks = draw_episode_rows(dataset, spec, rng)
-    support_rows = picks[:, :spec.shots].ravel()
-    query_rows = picks[:, spec.shots:].ravel()
+    rows = np.concatenate((picks[:, :spec.shots].ravel(), picks[:, spec.shots:].ravel()))
     local = np.arange(spec.ways, dtype=np.int64)
     return Episode(
-        dataset.features[support_rows], np.repeat(local, spec.shots),
-        dataset.features[query_rows], np.repeat(local, spec.queries),
-        tuple(chosen.tolist()), support_rows, query_rows,
+        dataset.features[rows], np.repeat(local, spec.shots), np.repeat(local, spec.queries),
+        tuple(chosen.tolist()), rows,
     )
 
 

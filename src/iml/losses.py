@@ -48,11 +48,10 @@ class AlignAux:
     """Per-step side inputs the alignment terms need.
 
     ``teacher_z`` and ``exemplar_teacher_z`` are the frozen teacher's
-    embeddings of ``episode.all_inputs()`` and of
-    ``exemplar_episode.all_inputs()``, typically gathered from a table
-    embedded once per round.  An aligning step with a nonzero weight
-    requires them: ``teacher_z`` for ida, dfa and eiml, and
-    ``exemplar_teacher_z`` as well for eiml.
+    embeddings of ``episode.inputs`` and of ``exemplar_episode.inputs``,
+    typically gathered from a table embedded once per round.  An aligning
+    step with a nonzero weight requires them: ``teacher_z`` for ida, dfa
+    and eiml, and ``exemplar_teacher_z`` as well for eiml.
     """
 
     anchors: AnchorSet | None = None
@@ -68,6 +67,8 @@ class LossBreakdown:
     For non-exemplar methods: total == meta_ce + lam * align.
     For ``eiml``:             total == meta_ce + lam_old * align_old
                                                + lam_new * align_new.
+    A method that `align_weights` gives no weights has ``total is meta_ce``
+    and a zero ``align``.
     ``sqdists`` holds the query-to-prototype squared distances meta_ce
     was computed from.
     """
@@ -116,7 +117,7 @@ def feature_drift(z, z_teacher: Array) -> Tensor:
 
 
 def exemplar_kl(z, z_teacher: Array, exemplar_episode: Episode, temperature: float) -> Tensor:
-    """EIML's align_old from both models' embeddings of ``exemplar_episode.all_inputs()``.
+    """EIML's align_old from both models' embeddings of ``exemplar_episode.inputs``.
 
     Each model scores the exemplar queries against prototypes recomputed
     from its own embedding of the exemplar support; the teacher's
@@ -141,8 +142,28 @@ def meta_xent_loss(
     Returns ``(loss, sqdists)``: the loss and the query-to-prototype
     squared distances it was computed from.
     """
-    d = ad.proto_sqdist(embed(params, episode.all_inputs()), episode.support_y, episode.n_ways)
+    d = ad.proto_sqdist(embed(params, episode.inputs), episode.support_y, episode.n_ways)
     return ad.proto_xent(d, episode.query_y, temperature), d
+
+
+def align_weights(method: MethodKind, lam: float, lam_old: float | None,
+                  lam_new: float | None) -> tuple[float, ...]:
+    """Weights of `method`'s alignment terms, lam for ida and dfa; () when it adds none.
+
+    eiml's lam_old and lam_new fall back to lam when unset.  A method whose
+    weights are all zero adds none: its objective is the meta term, bitwise.
+    """
+    if lam < 0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
+    if method is MethodKind.EIML:
+        weights = (lam if lam_old is None else lam_old, lam if lam_new is None else lam_new)
+        if min(weights) < 0:
+            raise ValueError("lambda_old and lambda_new must be non-negative")
+    elif method in (MethodKind.IDA, MethodKind.DFA):
+        weights = (lam,)
+    else:
+        return ()
+    return weights if any(w != 0.0 for w in weights) else ()
 
 
 def incremental_objective(
@@ -162,36 +183,28 @@ def incremental_objective(
     The episode's inputs are embedded once, and the meta term and the
     alignment term both read that embedding; the teacher's side is read
     from `aux`, and a missing ``aux`` field an aligning method needs raises
-    ``ValueError``.  With a zero weight the alignment branch is skipped
-    outright, before any of those checks, so the total *is* the meta term,
-    bitwise.
+    ``ValueError``.  When `align_weights` gives no weights the alignment
+    branch is skipped outright, before any of those checks, so the total
+    *is* the meta term, bitwise.
     """
     method = MethodKind(method)
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    z = embed(new_params, episode.all_inputs())
+    weights = align_weights(method, lam, lam_old, lam_new)
+    z = embed(new_params, episode.inputs)
     d = ad.proto_sqdist(z, episode.support_y, episode.n_ways)
     meta = ad.proto_xent(d, episode.query_y, temperature)
-    zero = ad.constant(0.0)
-
-    if method in (MethodKind.NU, MethodKind.FT, MethodKind.PAR):
-        return LossBreakdown(method, meta, meta, zero, lam, sqdists=d)
+    if not weights:
+        return LossBreakdown(method, meta, meta, ad.constant(0.0), lam, sqdists=d)
+    if old is None:
+        raise ValueError(f"{method.value} needs a frozen teacher snapshot")
 
     if method is MethodKind.EIML:
-        lo = lam if lam_old is None else lam_old
-        ln = lam if lam_new is None else lam_new
-        if lo < 0 or ln < 0:
-            raise ValueError("lambda_old and lambda_new must be non-negative")
-        if lo == 0.0 and ln == 0.0:
-            return LossBreakdown(method, meta, meta, None, lam, zero, zero, lo, ln, d)
-        if old is None:
-            raise ValueError("eiml needs a frozen teacher snapshot")
         ex = aux.exemplar_episode
         if ex is None:
             raise ValueError("eiml needs an exemplar episode in aux")
         if aux.teacher_z is None or aux.exemplar_teacher_z is None:
             raise ValueError("eiml needs teacher_z and exemplar_teacher_z in aux")
-        a_old = exemplar_kl(embed(new_params, ex.all_inputs()), aux.exemplar_teacher_z,
+        lo, ln = weights
+        a_old = exemplar_kl(embed(new_params, ex.inputs), aux.exemplar_teacher_z,
                             ex, temperature)
         # align_new is IDA over the exemplar classes' stored anchors; only it takes kl_order
         a_new = ida_kl(z, aux.teacher_z, old.anchors.restrict(ex.class_map),
@@ -200,10 +213,6 @@ def incremental_objective(
         return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln, d)
 
     # ida / dfa, both on the episode's own rows
-    if lam == 0.0:
-        return LossBreakdown(method, meta, meta, zero, lam, sqdists=d)
-    if old is None:
-        raise ValueError(f"{method.value} needs a frozen teacher snapshot")
     if method is MethodKind.IDA and aux.anchors is None:
         raise ValueError("ida needs an anchor subset in aux")
     if aux.teacher_z is None:

@@ -83,9 +83,6 @@ class ParamStore:
         """All parameter arrays in fixed order: W0, b0, W1, b1, ..."""
         return list(self._arrays)
 
-    def n_params(self) -> int:
-        return self.flat.size
-
     def copy(self) -> "ParamStore":
         return ParamStore(self.weights, self.biases)
 
@@ -231,24 +228,6 @@ def freeze_snapshot(
     )
 
 
-def prototype_sqdists(zs: Array, zq: Array, episode) -> Array:
-    """Squared distances from query embeddings to the episode's support prototypes.
-
-    Off the tape, for scoring, through the kernel of the training loss's
-    `autodiff.proto_sqdist`.  Every class needs the same number of support
-    rows, the layout `sample_episode` draws.
-    """
-    labels = np.asarray(episode.support_y)
-    counts = np.bincount(labels, minlength=episode.n_ways)
-    if counts.size != episode.n_ways or counts.min() < 1 or counts.max() != counts.min():
-        raise ValueError(
-            f"support needs equally many rows for each of {episode.n_ways} classes, "
-            f"got counts {counts.tolist()}"
-        )
-    support = zs[np.argsort(labels, kind="stable")].reshape(1, counts.size, -1, zs.shape[1])
-    return ad.prototype_distances(support, zq[None])[0]
-
-
 def nearest_prototype_accuracy(d: Array, query_y) -> float:
     """Fraction of rows of `d` whose smallest distance is at the true label.
 
@@ -258,12 +237,12 @@ def nearest_prototype_accuracy(d: Array, query_y) -> float:
 
 
 def score_episode(params: ParamStore, episode) -> float:
-    """Fraction of query points whose nearest support prototype has the right label."""
-    z = embed(params, episode.all_inputs()).data
-    n = len(episode.support_x)
-    return nearest_prototype_accuracy(
-        prototype_sqdists(z[:n], z[n:], episode), episode.query_y
-    )
+    """Fraction of query points whose nearest support prototype has the right label.
+
+    The distances are `meta_xent_loss`'s, so any support counts per class score.
+    """
+    d = ad.proto_sqdist(embed(params, episode.inputs), episode.support_y, episode.n_ways).data
+    return nearest_prototype_accuracy(d, episode.query_y)
 
 
 def nearest_prototypes(support: Array, queries: Array) -> Array:
@@ -277,10 +256,10 @@ def nearest_prototypes(support: Array, queries: Array) -> Array:
     (plus n times the smallest normal, for underflow) of the exact kernel's
     float output.  A query whose only class with d <= min d + 2b is its
     argmin therefore has that exact argmin, with no tie.  Every other query
-    is decided by the exact kernel on its episode, one episode per call as
-    `score_episode` makes it.  That covers non-finite values: a nan in a
-    query's distances lets no class pass, and an inf in its rows or its
-    episode's means makes b infinite, so that every class passes.
+    is decided by the exact kernel, called on its episode alone.  That
+    covers non-finite values: a nan in a query's distances lets no class
+    pass, and an inf in its rows or its episode's means makes b infinite,
+    so that every class passes.
     """
     protos = np.add.reduce(support, axis=2) / support.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fall back

@@ -21,7 +21,9 @@ from .data import (
     Dataset, Episode, EpisodeSpec, draw_episode_rows, sample_anchor_subset,
     sample_episode, write_text_atomic,
 )
-from .losses import KL_ORDERS, AlignAux, MethodKind, incremental_objective, meta_xent_loss
+from .losses import (
+    KL_ORDERS, AlignAux, MethodKind, align_weights, incremental_objective, meta_xent_loss,
+)
 from .model import (
     BackboneConfig,
     BoundParams,
@@ -194,9 +196,17 @@ def _validate(
     return float(np.mean(losses)), float(np.mean(accs))
 
 
-def _episode_rows(table: Array, ep: Episode) -> Array:
-    """Rows of a per-row table for ``ep.all_inputs()``: support rows, then query rows."""
-    return table[np.concatenate((ep.support_rows, ep.query_rows))]
+def _check_tables(dim: int, spec: EpisodeSpec, **tables: Dataset) -> None:
+    """Fail before the first step unless each named split's table can give `spec`'s episodes."""
+    need = spec.shots + spec.queries
+    for split, ds in tables.items():
+        where = f"{split} table '{ds.split_name}'"
+        if ds.dim != dim:
+            raise ValueError(f"model expects {dim}-dim inputs, {where} is {ds.dim}-dim")
+        if ds.n_classes < spec.ways:
+            raise ValueError(f"{where} has {ds.n_classes} classes; episodes need {spec.ways}")
+        if (rows := ds.min_class_count()) < need:
+            raise ValueError(f"{where} has a class with {rows} rows; episodes need {need}")
 
 
 def _exemplar_episode_spec(cfg: TrainConfig, exemplar_ds: Dataset) -> EpisodeSpec:
@@ -254,10 +264,7 @@ def train_base(
 ) -> ModelSnapshot:
     """Meta-train a fresh backbone on episodic tasks, then freeze it with anchors."""
     backbone = cfg.backbone or BackboneConfig(train_ds.dim)
-    if backbone.input_dim != train_ds.dim:
-        raise ValueError(
-            f"backbone expects {backbone.input_dim}-dim inputs, data is {train_ds.dim}-dim"
-        )
+    _check_tables(backbone.input_dim, cfg.episode, training=train_ds, validation=val_ds)
     params = init_backbone(backbone, cfg.seed)
     _fit(params, train_ds, val_ds, cfg, 0,
          lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature))
@@ -292,10 +299,7 @@ def train_incremental(
         )
     if method is MethodKind.EIML and exemplars is None:
         raise ValueError("eiml needs reserved exemplars from the old data")
-    if old.config.input_dim != new_ds.dim:
-        raise ValueError(
-            f"teacher expects {old.config.input_dim}-dim inputs, data is {new_ds.dim}-dim"
-        )
+    _check_tables(old.config.input_dim, cfg.episode, training=new_ds, validation=val_ds)
     overlap = set(old.anchors.class_ids) & set(new_ds.classes)
     if overlap:
         raise ValueError(f"new data reuses already-anchored classes {sorted(overlap)}")
@@ -305,11 +309,7 @@ def train_incremental(
     anchor_rng = np.random.default_rng([cfg.seed, _ANCHOR_STREAM, round_index])
     ex_rng = np.random.default_rng([cfg.seed, _EXEMPLAR_STREAM, round_index])
 
-    # eiml's unset weights fall back to lam, as in incremental_objective
-    weights = (cfg.lam_old, cfg.lam_new) if method is MethodKind.EIML else (cfg.lam,)
-    need_align = method is not MethodKind.FT and any(
-        (cfg.lam if w is None else w) != 0.0 for w in weights
-    )
+    need_align = bool(align_weights(method, cfg.lam, cfg.lam_old, cfg.lam_new))
     k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
     if need_align and method is MethodKind.IDA and k > len(old.anchors):
         raise ValueError(
@@ -317,6 +317,8 @@ def train_incremental(
         )
     use_exemplars = method is MethodKind.EIML and need_align
     exemplar_spec = _exemplar_episode_spec(cfg, exemplars) if use_exemplars else None
+    if use_exemplars:
+        _check_tables(old.config.input_dim, exemplar_spec, exemplar=exemplars)
     # The teacher is frozen, so its embedding of a row never changes: embed
     # each table once per round and gather every step's rows from it.
     teacher_z = embed(old.params, new_ds.features).data if need_align else None
@@ -325,14 +327,14 @@ def train_incremental(
     def objective(bound, ep):
         aux = AlignAux()
         if need_align:
-            teacher = _episode_rows(teacher_z, ep)
+            teacher = teacher_z[ep.rows]
             if method is MethodKind.IDA:
                 aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng),
                                teacher_z=teacher)
             elif method is MethodKind.EIML:
                 ex = sample_episode(exemplars, exemplar_spec, ex_rng)
                 aux = AlignAux(exemplar_episode=ex, teacher_z=teacher,
-                               exemplar_teacher_z=_episode_rows(exemplar_teacher_z, ex))
+                               exemplar_teacher_z=exemplar_teacher_z[ex.rows])
             else:
                 aux = AlignAux(teacher_z=teacher)
         br = incremental_objective(

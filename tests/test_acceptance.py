@@ -180,10 +180,10 @@ def test_c1_gradient_check():
                               SnapshotMeta(1, 0, "base"))
     student = init_backbone(config, seed=2)
     arrays = student.arrays()
-    batch = episode.all_inputs()
+    batch = episode.inputs
     batch_teacher = embed(teacher.params, batch).data
     exemplar_ep = sample_episode(ds, EpisodeSpec(5, 2, 2), np.random.default_rng(2))
-    exemplar_x = exemplar_ep.all_inputs()
+    exemplar_x = exemplar_ep.inputs
     exemplar_teacher = embed(teacher.params, exemplar_x).data
 
     def check(f):

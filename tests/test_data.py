@@ -208,8 +208,8 @@ def test_sample_episode_shapes_and_counts():
     ds = gen_synthetic(small_spec())
     rng = np.random.default_rng(0)
     ep = sample_episode(ds, EpisodeSpec(5, 5, 15), rng)
-    assert ep.support_x.shape == (25, 3)
-    assert ep.query_x.shape == (75, 3)
+    assert ep.inputs.shape == (25 + 75, 3)
+    assert ep.rows.shape == (25 + 75,)
     assert ep.n_ways == 5
     assert len(ep.class_map) == 5
     # local labels are 0..K-1
@@ -222,9 +222,10 @@ def test_sample_episode_support_query_disjoint():
     rng = np.random.default_rng(1)
     for _ in range(200):
         ep = sample_episode(ds, EpisodeSpec(4, 5, 10), rng)
-        sup = {tuple(r) for r in ep.support_x}
-        qry = {tuple(r) for r in ep.query_x}
+        sup = {tuple(r) for r in ep.inputs[:20]}
+        qry = {tuple(r) for r in ep.inputs[20:]}
         assert not (sup & qry)
+        assert np.unique(ep.rows).size == ep.rows.size
 
 
 def test_sample_episode_class_inclusion_uniform():
@@ -255,8 +256,8 @@ def test_sample_episode_deterministic():
     ds = gen_synthetic(small_spec())
     e1 = sample_episode(ds, EpisodeSpec(3, 2, 4), np.random.default_rng(5))
     e2 = sample_episode(ds, EpisodeSpec(3, 2, 4), np.random.default_rng(5))
-    assert np.array_equal(e1.support_x, e2.support_x)
-    assert np.array_equal(e1.query_x, e2.query_x)
+    assert np.array_equal(e1.inputs, e2.inputs)
+    assert np.array_equal(e1.rows, e2.rows)
     assert e1.class_map == e2.class_map
 
 
@@ -265,17 +266,16 @@ def test_sample_episode_records_rows():
     spec = EpisodeSpec(4, 3, 5)
     for seed in range(20):
         ep = sample_episode(ds, spec, np.random.default_rng(seed))
-        assert np.array_equal(ds.features[ep.support_rows], ep.support_x)
-        assert np.array_equal(ds.features[ep.query_rows], ep.query_x)
-        assert np.array_equal(ds.labels[ep.support_rows], np.take(ep.class_map, ep.support_y))
-        assert np.array_equal(ds.labels[ep.query_rows], np.take(ep.class_map, ep.query_y))
+        assert np.array_equal(ds.features[ep.rows], ep.inputs)
+        local = np.concatenate((ep.support_y, ep.query_y))
+        assert np.array_equal(ds.labels[ep.rows], np.take(ep.class_map, local))
         # the draws are those of one class choice, then one row choice per class
         rng = np.random.default_rng(seed)
         chosen = rng.choice(np.asarray(ds.classes), size=spec.ways, replace=False)
         picks = [rng.choice(ds.class_index[int(c)], size=8, replace=False) for c in chosen]
         assert ep.class_map == tuple(int(c) for c in chosen)
-        assert np.array_equal(ep.support_rows, np.concatenate([p[:3] for p in picks]))
-        assert np.array_equal(ep.query_rows, np.concatenate([p[3:] for p in picks]))
+        assert np.array_equal(ep.rows, np.concatenate([p[:3] for p in picks] +
+                                                      [p[3:] for p in picks]))
 
 
 def uneven_dataset():
@@ -302,8 +302,9 @@ def test_draw_episode_rows_is_sample_episode_draw(make, spec):
             assert chosen.dtype == picks.dtype == np.int64
             assert picks.shape == (spec.ways, spec.shots + spec.queries)
             assert tuple(chosen.tolist()) == ep.class_map
-            assert np.array_equal(picks[:, :spec.shots].ravel(), ep.support_rows)
-            assert np.array_equal(picks[:, spec.shots:].ravel(), ep.query_rows)
+            assert np.array_equal(ep.rows, np.concatenate((picks[:, :spec.shots].ravel(),
+                                                           picks[:, spec.shots:].ravel())))
+            assert np.array_equal(ep.inputs, ds.features[ep.rows])
             assert np.array_equal(ds.labels[picks], np.repeat(chosen[:, None], picks.shape[1], 1))
             # the rows of one class choice, then one row choice per class
             want = c.choice(ds.class_ids, size=spec.ways, replace=False)
@@ -381,12 +382,14 @@ def test_support_layout_is_every_drawn_episode_layout():
             assert np.array_equal(ep.query_y, np.repeat(np.arange(spec.ways), spec.queries))
 
 
-def test_episode_all_inputs():
+def test_episode_inputs_are_support_rows_then_query_rows():
     ds = gen_synthetic(small_spec())
     ep = sample_episode(ds, EpisodeSpec(3, 2, 4), np.random.default_rng(6))
-    allx = ep.all_inputs()
-    assert allx.shape == (3 * 2 + 3 * 4, 3)
-    assert np.array_equal(allx[:6], ep.support_x)
+    assert ep.inputs.shape == (3 * 2 + 3 * 4, 3)
+    assert np.array_equal(ep.inputs, ds.features[ep.rows])
+    # the first len(support_y) rows are the support, two per class in class order
+    assert np.array_equal(ds.labels[ep.rows[:6]], np.repeat(ep.class_map, 2))
+    assert np.array_equal(ds.labels[ep.rows[6:]], np.repeat(ep.class_map, 4))
 
 
 def test_sample_anchor_subset():

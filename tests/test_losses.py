@@ -48,7 +48,7 @@ def two_way_episode():
     sy = np.array([0, 1])
     qx = np.array([[0.0, 0.0]])
     qy = np.array([0])
-    return Episode(sx, sy, qx, qy, class_map=(0, 1))
+    return Episode(np.vstack([sx, qx]), sy, qy, class_map=(0, 1))
 
 
 def synthetic_episode(seed=0, ways=3, shots=2, queries=4):
@@ -82,7 +82,7 @@ def test_meta_xent_coincident_prototypes():
     sy = np.arange(4)
     qx = np.array([[5.0, 5.0], [0.0, 0.0]])
     qy = np.array([2, 0])
-    ep = Episode(sx, sy, qx, qy, class_map=(0, 1, 2, 3))
+    ep = Episode(np.vstack([sx, qx]), sy, qy, class_map=(0, 1, 2, 3))
     loss, _ = meta_xent_loss(identity_params(), ep, 2.0)
     assert abs(float(loss) - math.log(4.0)) < 1e-12
 
@@ -91,9 +91,8 @@ def test_meta_xent_decreases_with_separation():
     params = identity_params()
     losses = []
     for gap in (0.5, 2.0, 8.0):
-        sx = np.array([[0.0, 0.0], [gap, 0.0]])
-        ep = Episode(sx, np.array([0, 1]), np.array([[0.0, 0.0]]), np.array([0]),
-                     class_map=(0, 1))
+        x = np.array([[0.0, 0.0], [gap, 0.0], [0.0, 0.0]])  # two support rows, one query
+        ep = Episode(x, np.array([0, 1]), np.array([0]), class_map=(0, 1))
         losses.append(float(meta_xent_loss(params, ep, 2.0)[0]))
     assert losses[0] > losses[1] > losses[2]
 
@@ -193,7 +192,7 @@ def eiml_fixture(seed=0):
 
 def eiml_terms(old, params, ex, batch):
     """EIML's (align_old, align_new) from the cores: exemplar KL, and IDA on `ex`'s anchors."""
-    a_old = exemplar_kl(*embeddings(old, params, ex.all_inputs()), ex, 2.0)
+    a_old = exemplar_kl(*embeddings(old, params, ex.inputs), ex, 2.0)
     a_new = ida_kl(*embeddings(old, params, batch), old.anchors.restrict(ex.class_map), 2.0)
     return a_old, a_new
 
@@ -212,7 +211,7 @@ def test_eiml_align_new_matches_ida_on_episode_anchors():
     task = synthetic_episode(2)
     br = incremental_objective(MethodKind.EIML, old, student, task,
                                eiml_aux(old, task, ep), 1.0, 2.0)
-    direct = ida_kl(*embeddings(old, student, task.all_inputs()),
+    direct = ida_kl(*embeddings(old, student, task.inputs),
                     old.anchors.restrict(ep.class_map), 2.0)
     assert float(br.align_new) == float(direct)
 
@@ -249,7 +248,7 @@ def test_objective_nu_and_par_same_shape():
 
 def teacher_rows(old, ep):
     """The teacher's embedding of the episode's rows, as a per-round table would give them."""
-    return embed(old.params, ep.all_inputs()).data
+    return embed(old.params, ep.inputs).data
 
 
 def test_objective_ida_lambda_zero_short_circuits():
@@ -267,7 +266,7 @@ def test_objective_ida_composition():
     aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, ep))
     br = incremental_objective(MethodKind.IDA, old, student, ep, aux, 2.0, 2.0)
     meta = float(meta_xent_loss(student, ep, 2.0)[0])
-    align = float(ida_kl(*embeddings(old, student, ep.all_inputs()), old.anchors, 2.0))
+    align = float(ida_kl(*embeddings(old, student, ep.inputs), old.anchors, 2.0))
     assert abs(float(br.total) - (meta + 2.0 * align)) < 1e-12
     assert float(br.align) == align
 
@@ -285,7 +284,7 @@ def test_objective_dfa_composition():
     br = incremental_objective(MethodKind.DFA, old, student, ep,
                                AlignAux(teacher_z=teacher_rows(old, ep)), 0.5, 2.0)
     meta = float(meta_xent_loss(student, ep, 2.0)[0])
-    align = float(feature_drift(*embeddings(old, student, ep.all_inputs())))
+    align = float(feature_drift(*embeddings(old, student, ep.inputs)))
     assert abs(float(br.total) - (meta + 0.5 * align)) < 1e-12
     assert float(br.align) == align
 
@@ -303,7 +302,7 @@ def test_objective_eiml_composition_and_defaults():
                                eiml_aux(old, task, ep), 1.5, 2.0)
     # lam_old and lam_new default to lam
     assert br.lam_old == 1.5 and br.lam_new == 1.5
-    a_old, a_new = eiml_terms(old, student, ep, task.all_inputs())
+    a_old, a_new = eiml_terms(old, student, ep, task.inputs)
     meta = float(meta_xent_loss(student, task, 2.0)[0])
     want = meta + 1.5 * float(a_old) + 1.5 * float(a_new)
     assert abs(float(br.total) - want) < 1e-12
@@ -318,7 +317,7 @@ def test_objective_eiml_split_weights():
     task = synthetic_episode(2)
     br = incremental_objective(MethodKind.EIML, old, student, task,
                                eiml_aux(old, task, ep), 1.0, 2.0, lam_old=0.25, lam_new=3.0)
-    a_old, a_new = eiml_terms(old, student, ep, task.all_inputs())
+    a_old, a_new = eiml_terms(old, student, ep, task.inputs)
     meta = float(meta_xent_loss(student, task, 2.0)[0])
     want = meta + 0.25 * float(a_old) + 3.0 * float(a_new)
     assert abs(float(br.total) - want) < 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import iml.autodiff as ad
+import iml.model
 from iml.data import Episode
 from iml.model import (
     AnchorSet,
@@ -15,7 +16,6 @@ from iml.model import (
     init_backbone,
     merge_anchor_sets,
     nearest_prototypes,
-    prototype_sqdists,
     score_episode,
 )
 
@@ -35,7 +35,7 @@ def test_init_shapes_and_zero_biases():
     assert [w.shape for w in ps.weights] == [(6, 10), (10, 7), (7, 3)]
     for b in ps.biases:
         assert np.array_equal(b, np.zeros_like(b))
-    assert ps.n_params() == 6 * 10 + 10 + 10 * 7 + 7 + 7 * 3 + 3
+    assert ps.flat.size == 6 * 10 + 10 + 10 * 7 + 7 + 7 * 3 + 3
 
 
 def test_init_weight_variance():
@@ -76,7 +76,7 @@ def test_param_store_copy_is_deep():
 
 def test_param_store_is_one_flat_buffer():
     ps = init_backbone(BackboneConfig(3, (4, 5), 2), 0)
-    assert ps.flat.shape == (ps.n_params(),)
+    assert ps.flat.shape == (ps.flat.size,)
     start = 0
     for a in ps.arrays():
         assert a.base is ps.flat
@@ -126,16 +126,24 @@ def test_prototypes_are_exact_class_means():
         assert np.array_equal(protos.data[c], z[labels == c].mean(axis=0))
 
 
-def test_prototype_sqdists_match_tape_ops():
-    """Bitwise the distances to `class_means` prototypes, labels in any order."""
+def test_score_episode_matches_class_means_chain_on_unequal_support(monkeypatch):
+    """Bitwise the distances to `class_means` prototypes, at any support counts and order."""
+    seen = []
+    real = iml.model.nearest_prototype_accuracy
+    monkeypatch.setattr(iml.model, "nearest_prototype_accuracy",
+                        lambda d, y: seen.append(d) or real(d, y))
     rng = np.random.default_rng(4)
-    for ways, shots in ((2, 1), (5, 5), (20, 5), (7, 3)):
-        sy = rng.permutation(np.repeat(np.arange(ways), shots))
-        zs = rng.standard_normal((ways * shots, 16)) * 10.0 ** rng.uniform(-3, 3)
-        zq = rng.standard_normal((3 * ways, 16))
-        ep = Episode(zs, sy, zq, np.zeros(3 * ways, dtype=np.int64), tuple(range(ways)))
-        want = ad.pairwise_sqdist(zq, ad.class_means(zs, sy, ways)).data
-        assert np.array_equal(prototype_sqdists(zs, zq, ep), want)
+    ps = init_backbone(BackboneConfig(6, (8,), 16), 0)
+    for ways, most in ((2, 1), (5, 5), (20, 5), (7, 3)):
+        # class k has 1 + k % most support rows: unequal wherever most > 1
+        sy = rng.permutation(np.repeat(np.arange(ways), 1 + np.arange(ways) % most))
+        qy = rng.integers(0, ways, size=3 * ways)
+        x = rng.standard_normal((sy.size + qy.size, 6)) * 10.0 ** rng.uniform(-3, 3)
+        acc = score_episode(ps, Episode(x, sy, qy, tuple(range(ways))))
+        z = embed(ps, x).data
+        want = ad.pairwise_sqdist(z[sy.size:], ad.class_means(z[:sy.size], sy, ways)).data
+        assert np.array_equal(seen[-1], want)
+        assert acc == float((want.argmin(axis=1) == qy).mean())
 
 
 def exact_nearest(support, queries):
@@ -215,14 +223,6 @@ def test_nearest_prototypes_non_finite_rows_take_the_exact_kernel(monkeypatch):
     assert calls == [1] * 5  # every episode but the clean first one
 
 
-def test_prototype_sqdists_needs_equal_classes():
-    z = np.zeros((3, 2))
-    for sy in ([0, 0, 1], [0, 0, 0]):
-        ep = Episode(z, np.array(sy), z, np.array([0, 1, 1]), (5, 6))
-        with pytest.raises(ValueError, match="equally many rows"):
-            prototype_sqdists(z, z, ep)
-
-
 def test_anchor_set_basics():
     a = AnchorSet((3, 7), np.ones((2, 4)))
     assert len(a) == 2
@@ -297,7 +297,7 @@ def episode_for_scoring():
     sy = np.array([0, 0, 1, 1])
     qx = np.array([[0.05, 0.0], [3.9, 4.0]])
     qy = np.array([0, 1])
-    return Episode(sx, sy, qx, qy, class_map=(10, 20))
+    return Episode(np.vstack([sx, qx]), sy, qy, class_map=(10, 20))
 
 
 def test_score_episode_identity_net():

@@ -49,16 +49,30 @@ def _reads(tree: ast.AST) -> Counter:
     return out
 
 
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    """Top-level functions and classes, and the methods and properties of those classes.
+
+    Dunder methods are left out: Python calls them, not a name lookup.
+    """
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
 def unreferenced_defs(sources: list[str], external: set[str]) -> list[str]:
-    """Top-level functions and classes of `sources` that nothing reads.
+    """Definitions of `sources` (see `_definitions`) that nothing reads.
 
     A read counts when it is in any of `sources`, outside the definition's
     own body, or when the name is in `external`.
     """
     trees = [ast.parse(src) for src in sources]
     reads = sum((_reads(t) for t in trees), Counter())
-    defs = [node for t in trees for node in t.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    defs = [d for t in trees for d in _definitions(t)]
     return sorted(d.name for d in defs
                   if d.name not in external and reads[d.name] == _reads(d)[d.name])
 
@@ -83,6 +97,10 @@ def test_unreferenced_defs_detector():
         "class C: pass\ndef ext(): pass\nx = used()\n"
     b = "import a\nprint(a.C)\n"
     assert unreferenced_defs([a, b], {"ext"}) == ["rec", "unused"]
+    c = "class D:\n    def __init__(self): pass\n    def read(self): return self.prop\n" \
+        "    @property\n    def prop(self): return 1\n    def idle(self): pass\n" \
+        "    def again(self): return self.again()\nD().read()\n"
+    assert unreferenced_defs([c], set()) == ["again", "idle"]
 
 
 def test_no_unreferenced_definitions():

@@ -291,6 +291,38 @@ def test_train_base_dim_mismatch():
         train_base(old_tr, old_va, small_cfg(backbone=BackboneConfig(9, (8,), 4)))
 
 
+def test_bad_tables_fail_before_the_first_step(monkeypatch):
+    """A table the run's episodes cannot be drawn from fails before any step, naming its split."""
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    steps = []
+    real = iml.trainer.adam_step
+    monkeypatch.setattr(iml.trainer, "adam_step", lambda *args: steps.append(1) or real(*args))
+    narrow = domain_data(dim=3)
+
+    def short_class(ds):
+        keep = np.ones(len(ds), dtype=bool)
+        keep[ds.class_index[ds.classes[0]][10:]] = False
+        return Dataset(ds.features[keep], ds.labels[keep], ds.split_name)
+
+    cases = [  # (episode, base run's tables, incremental run's tables, error)
+        (EpisodeSpec(5, 2, 4), (old_tr, old_va.subset_classes(old_va.classes[:3])),
+         (new_tr, new_va.subset_classes(new_va.classes[:3])),
+         r"validation table '\w+' has 3 classes; episodes need 5"),
+        (EpisodeSpec(3, 2, 4), (old_tr, narrow[1]), (new_tr, narrow[3]),
+         r"model expects 4-dim inputs, validation table '\w+' is 3-dim"),
+        (EpisodeSpec(3, 5, 15), (short_class(old_tr), old_va), (short_class(new_tr), new_va),
+         r"training table '\w+' has a class with 10 rows; episodes need 20"),
+    ]
+    for episode, (tr, va), (new, new_val), error in cases:
+        cfg = small_cfg(episode=episode)
+        with pytest.raises(ValueError, match=error):
+            train_base(tr, va, cfg)
+        with pytest.raises(ValueError, match=error):
+            train_incremental(base, new, new_val, MethodKind.IDA, cfg)
+    assert steps == []
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_train_base_divergence_on_bad_data():
     old_tr, old_va, _, _ = domain_data()
@@ -341,8 +373,9 @@ def test_validate_matches_one_episode_kernels(monkeypatch, round_index, chunk_by
     losses, accs = [], []
     for _ in range(cfg.val_episodes):
         ep = sample_episode(val, cfg.episode, rng)
-        support = z[ep.support_rows].reshape(1, ep.n_ways, cfg.episode.shots, -1)
-        d = prototype_distances(support, z[ep.query_rows][None])[0]
+        n = len(ep.support_y)
+        support = z[ep.rows[:n]].reshape(1, ep.n_ways, cfg.episode.shots, -1)
+        d = prototype_distances(support, z[ep.rows[n:]][None])[0]
         losses.append(float(proto_xent(d, ep.query_y, cfg.temperature)))
         accs.append(float((d.argmin(axis=1) == ep.query_y).mean()))
     want = (float(np.mean(losses)), float(np.mean(accs)))
@@ -457,10 +490,10 @@ def test_gathered_teacher_rows_equal_teacher_embedding(monkeypatch):
         train_incremental(base, new_tr, new_va, method, small_cfg(), exemplars=ex)
         assert len(calls) == small_cfg().epochs * small_cfg().tasks_per_epoch
         for ep, aux in calls:
-            want = embed(base.params, ep.all_inputs()).data
+            want = embed(base.params, ep.inputs).data
             assert np.array_equal(aux.teacher_z, want), method
             if method is MethodKind.EIML:
-                want = embed(base.params, aux.exemplar_episode.all_inputs()).data
+                want = embed(base.params, aux.exemplar_episode.inputs).data
                 assert np.array_equal(aux.exemplar_teacher_z, want)
             else:
                 assert aux.exemplar_teacher_z is None
