@@ -43,9 +43,9 @@ def extract_anchors(params: ParamStore, dataset: Dataset, round_tag: int = 0) ->
 
 
 def _payload(snapshot: ModelSnapshot) -> bytes:
-    chunks = [a.astype("<f8").tobytes(order="C") for a in snapshot.params.arrays()]
-    chunks.append(snapshot.anchors.centers.astype("<f8").tobytes(order="C"))
-    return b"".join(chunks)
+    # params.flat is W0, b0, W1, b1, ... in that order
+    return b"".join(a.astype("<f8").tobytes(order="C")
+                    for a in (snapshot.params.flat, snapshot.anchors.centers))
 
 
 def snapshot_digest(snapshot: ModelSnapshot) -> str:
@@ -82,9 +82,7 @@ def load_snapshot(path) -> ModelSnapshot:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError:
-        raise
-    except (ValueError, UnicodeDecodeError) as e:
+    except ValueError as e:  # JSON and UTF-8 decoding errors are ValueErrors
         raise SnapshotCorruptError(f"{path}: not a parsable snapshot file ({e})") from e
     if not isinstance(doc, dict) or doc.get("format") != "imlsnap":
         raise SnapshotCorruptError(f"{path}: missing imlsnap header")

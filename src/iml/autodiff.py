@@ -227,24 +227,43 @@ def _vjp_relu(v, aux, out, saved, g, needs):
     return [g * (v[0] > 0.0)]
 
 
-def _fwd_linear(v, aux):
-    x, w, b = v
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
-    if b.ndim != 1 or b.shape[0] != w.shape[1]:
-        raise ValueError(f"linear: bias {b.shape} does not fit weight {w.shape}")
-    out = x @ w
-    out += b
-    return np.maximum(out, 0.0, out=out) if aux[0] else out
+def _fwd_mlp(v, aux):
+    x, flat = v
+    layout, keep = aux
+    if x.ndim != 2 or x.shape[1] != layout[0][3]:
+        raise ValueError(f"mlp: input of shape {x.shape} for fan-in {layout[0][3]}")
+    if flat.shape != (layout[-1][2],):
+        raise ValueError(f"mlp: {flat.shape} parameters for a layout of {layout[-1][2]}")
+    hidden = []  # relu outputs, the vjp's layer inputs and masks; kept on a tape only
+    for i, (w_lo, b_lo, b_hi, fan_in) in enumerate(layout):
+        x = x @ flat[w_lo:b_lo].reshape(fan_in, -1)
+        x += flat[b_lo:b_hi]
+        if i < len(layout) - 1:
+            np.maximum(x, 0.0, out=x)
+            if keep:
+                hidden.append(x)
+    return x, hidden
 
 
-def _vjp_linear(v, aux, out, saved, g, needs):
-    x, w, _ = v
-    if aux[0]:
-        # relu output > 0 exactly where its input was; subgradient 0 at the kink
-        g = g * (out > 0.0)
-    return [g @ w.T if needs[0] else None, x.T @ g if needs[1] else None,
-            g.sum(axis=0) if needs[2] else None]
+def _vjp_mlp(v, aux, out, hidden, g, needs):
+    # per layer, the matmul -> add_rowvec (-> relu) vjps; each W and b
+    # gradient goes to its own slice of one flat gradient, written once
+    x, flat = v
+    layout = aux[0]
+    ins = [x, *hidden]
+    gflat = np.empty(flat.shape) if needs[1] else None
+    for i in range(len(layout) - 1, -1, -1):
+        w_lo, b_lo, b_hi, fan_in = layout[i]
+        w = flat[w_lo:b_lo].reshape(fan_in, -1)
+        if i < len(layout) - 1:
+            # relu output > 0 exactly where its input was; subgradient 0 at the kink
+            g = g * (hidden[i] > 0.0)
+        if needs[1]:
+            np.matmul(ins[i].T, g, out=gflat[w_lo:b_lo].reshape(w.shape))
+            np.add.reduce(g, axis=0, out=gflat[b_lo:b_hi])
+        if i or needs[0]:
+            g = g @ w.T
+    return [g if needs[0] else None, gflat]
 
 
 def _pair_diffs(z: Array, c: Array) -> Array:
@@ -466,7 +485,7 @@ _OPS: dict[str, OpSpec] = {
     "scale": OpSpec(_fwd_scale, lambda v, aux, out, saved, g, needs: [g * aux[0]]),
     "add_rowvec": OpSpec(_fwd_addrow, lambda v, aux, out, saved, g, needs: [g, g.sum(axis=0)]),
     "relu": OpSpec(_fwd_relu, _vjp_relu),
-    "linear": OpSpec(_fwd_linear, _vjp_linear),
+    "mlp": OpSpec(_fwd_mlp, _vjp_mlp, saves=True),
     "pairwise_sqdist": OpSpec(_fwd_pairsq, _vjp_pairsq, saves=True),
     "logsumexp_rows": OpSpec(_fwd_lse_rows, _vjp_lse_rows, saves=True),
     "softmax_rows": OpSpec(_fwd_softmax_rows, _vjp_softmax_rows),
@@ -515,13 +534,18 @@ def add_rowvec(m, row) -> Tensor:
     return _apply("add_rowvec", (as_tensor(m), as_tensor(row)))
 
 
-def linear(x, w, b, relu: bool = False) -> Tensor:
-    """One dense layer, x @ w + b, optionally through relu, as a single tape node.
+def mlp(x, flat, layout) -> Tensor:
+    """An MLP with relu between layers, its parameters one flat vector, as a single node.
 
-    Bitwise equal to ``matmul`` then ``add_rowvec`` (then ``relu``), forward
-    and gradients.
+    ``layout`` gives each layer's ``(w_lo, b_lo, b_hi, fan_in)``: its weight
+    is ``flat[w_lo:b_lo]`` as a (fan_in, fan_out) matrix and its bias
+    ``flat[b_lo:b_hi]``.  Bitwise equal to ``matmul`` then ``add_rowvec``
+    per layer, with ``relu`` after all but the last: value, the gradient of
+    every slice of ``flat``, and the gradient of ``x``.
     """
-    return _apply("linear", (as_tensor(x), as_tensor(w), as_tensor(b)), (bool(relu),))
+    x, flat = as_tensor(x), as_tensor(flat)
+    on_tape = x.tape is not None or flat.tape is not None
+    return _apply("mlp", (x, flat), (tuple(layout), on_tape))
 
 
 def pairwise_sqdist(z, c) -> Tensor:

@@ -43,22 +43,13 @@ class BackboneConfig:
         return (self.input_dim, *self.hidden_dims, self.embed_dim)
 
 
-def flat_views(arrays: list[Array]) -> tuple[Array, list[Array]]:
-    """Copy `arrays` into one new float64 vector; return it and a view of it per array."""
-    flat = np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
-
-
 class ParamStore:
     """Weight/bias arrays for one backbone; the live copy a trainer mutates.
 
-    All parameters live in one float64 vector, ``flat``, in the order of
-    :meth:`arrays`; ``weights`` and ``biases`` are views into it.  The
-    constructor copies its inputs.
+    All parameters live in one float64 vector, ``flat``: W0, b0, W1, b1, ...
+    ``layout`` gives each layer's ``(w_lo, b_lo, b_hi, fan_in)`` offsets in
+    it (see `autodiff.mlp`), and ``weights`` and ``biases`` are views into
+    it.  The constructor copies its inputs.
     """
 
     def __init__(self, weights: list[Array], biases: list[Array]):
@@ -66,47 +57,38 @@ class ParamStore:
             raise ValueError("need one bias per weight matrix and at least one layer")
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        layout, lo = [], 0
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
             if i and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: fan-in does not match previous fan-out")
-        self.flat, self._arrays = flat_views([a for wb in zip(weights, biases) for a in wb])
-        self.weights = self._arrays[0::2]
-        self.biases = self._arrays[1::2]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+            layout.append((lo, lo + w.size, lo + w.size + b.size, w.shape[0]))
+            lo += w.size + b.size
+        self.layout = tuple(layout)
+        self.flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
+        self.weights = [self.flat[w_lo:b_lo].reshape(fan_in, -1)
+                        for w_lo, b_lo, _, fan_in in layout]
+        self.biases = [self.flat[b_lo:b_hi] for _, b_lo, b_hi, _ in layout]
 
     def arrays(self) -> list[Array]:
-        """All parameter arrays in fixed order: W0, b0, W1, b1, ..."""
-        return list(self._arrays)
+        """All parameter arrays in ``flat``'s order: W0, b0, W1, b1, ..."""
+        return [a for wb in zip(self.weights, self.biases) for a in wb]
 
     def copy(self) -> "ParamStore":
         return ParamStore(self.weights, self.biases)
 
     def bind(self, tape: Tape) -> "BoundParams":
-        """Register every array as a tape leaf for one differentiable step."""
-        return BoundParams([tape.leaf(a) for a in self.arrays()])
+        """Register ``flat`` as one tape leaf for one differentiable step."""
+        return BoundParams(tape.leaf(self.flat), self.layout)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundParams:
     """Tape-bound view of a ParamStore for a single forward/backward pass."""
 
-    tensors: list[Tensor]
-
-    @property
-    def ids(self) -> list[int]:
-        return [t.node for t in self.tensors]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.tensors) // 2
-
-    def layer(self, i: int) -> tuple[Tensor, Tensor]:
-        return self.tensors[2 * i], self.tensors[2 * i + 1]
+    flat: Tensor
+    layout: tuple[tuple[int, int, int, int], ...]
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> ParamStore:
@@ -121,22 +103,9 @@ def init_backbone(config: BackboneConfig, seed: int) -> ParamStore:
     return ParamStore(weights, biases)
 
 
-def _layer(params: ParamStore | BoundParams, i: int) -> tuple[Tensor, Tensor]:
-    if isinstance(params, BoundParams):
-        return params.layer(i)
-    return ad.constant(params.weights[i]), ad.constant(params.biases[i])
-
-
 def embed(params: ParamStore | BoundParams, x) -> Tensor:
     """Map a batch of input rows through the backbone; relu between layers only."""
-    t = ad.as_tensor(x)
-    if t.data.ndim != 2:
-        raise ValueError(f"embed expects a 2-D batch, got shape {t.data.shape}")
-    n = params.n_layers
-    for i in range(n):
-        w, b = _layer(params, i)
-        t = ad.linear(t, w, b, relu=i < n - 1)
-    return t
+    return ad.mlp(x, params.flat, params.layout)
 
 
 @dataclass(frozen=True)

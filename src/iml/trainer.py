@@ -114,7 +114,7 @@ def init_optim(params: ParamStore, cfg: TrainConfig) -> OptimState:
 
 def adam_step(
     params: ParamStore,
-    grads: list[Array],
+    grad: Array,
     state: OptimState,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -122,26 +122,22 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place on the live parameters.
 
-    Adam is elementwise, so one pass over ``params.flat`` and the flat
-    moments is bitwise the per-array update.
+    ``grad`` is laid out like ``params.flat``.  Adam is elementwise, so one
+    pass over ``params.flat`` and the flat moments is bitwise the per-array
+    update.
     """
-    arrays = params.arrays()
-    if len(grads) != len(arrays):
-        raise ValueError(f"got {len(grads)} gradients for {len(arrays)} parameter arrays")
-    for a, g in zip(arrays, grads):
-        if np.shape(g) != a.shape:
-            raise ValueError(f"gradient of shape {np.shape(g)} for a {a.shape} parameter")
-    g = np.concatenate([np.ravel(x) for x in grads])
-    if not np.isfinite(g).all():
+    if np.shape(grad) != params.flat.shape:
+        raise ValueError(f"gradient of shape {np.shape(grad)} for {params.flat.shape} parameters")
+    if not np.isfinite(grad).all():
         raise TrainingDivergenceError(f"non-finite gradient at optimizer step {state.step + 1}")
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
     m, v = state.m, state.v
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += (1.0 - beta1) * grad
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    v += (1.0 - beta2) * (grad * grad)
     params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
@@ -211,9 +207,14 @@ def _check_tables(dim: int, spec: EpisodeSpec, **tables: Dataset) -> None:
 
 def _exemplar_episode_spec(cfg: TrainConfig, exemplar_ds: Dataset) -> EpisodeSpec:
     """Shrink the episode spec so it fits inside the retained exemplar rows."""
+    where = f"exemplar table '{exemplar_ds.split_name}'"
+    if exemplar_ds.n_classes < 2:
+        raise ValueError(f"{where} has {exemplar_ds.n_classes} class(es); "
+                         "exemplar episodes need at least 2 ways")
     avail = exemplar_ds.min_class_count()
     if avail < 2:
-        raise ValueError("exemplar episodes need at least 2 rows per class")
+        raise ValueError(f"{where} has a class with {avail} rows; "
+                         "exemplar episodes need at least 2 rows per class")
     ways = min(cfg.episode.ways, exemplar_ds.n_classes)
     shots = max(1, min(cfg.episode.shots, avail - 1))
     queries = max(1, min(cfg.episode.queries, avail - shots))
@@ -248,8 +249,8 @@ def _fit(
                 )
             ep_losses.append(value)
             ep_accs.append(nearest_prototype_accuracy(sqdists.data, ep.query_y))
-            grads = tape.backward(loss, bound.ids)
-            adam_step(params, [grads[i] for i in bound.ids], state)
+            leaf = bound.flat.node
+            adam_step(params, tape.backward(loss, [leaf])[leaf], state)
         log.row(epoch, "train", float(np.mean(ep_losses)), float(np.mean(ep_accs)), state.lr)
         val_loss, val_acc = _validate(params, val_ds, cfg, round_index, epoch)
         log.row(epoch, "val", val_loss, val_acc, state.lr)

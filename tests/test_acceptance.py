@@ -179,7 +179,6 @@ def test_c1_gradient_check():
                               extract_anchors(teacher_params, ds),
                               SnapshotMeta(1, 0, "base"))
     student = init_backbone(config, seed=2)
-    arrays = student.arrays()
     batch = episode.inputs
     batch_teacher = embed(teacher.params, batch).data
     exemplar_ep = sample_episode(ds, EpisodeSpec(5, 2, 2), np.random.default_rng(2))
@@ -187,13 +186,16 @@ def test_c1_gradient_check():
     exemplar_teacher = embed(teacher.params, exemplar_x).data
 
     def check(f):
-        err = grad_check(f, arrays, h=1e-4)
+        err = grad_check(f, [student.flat], h=1e-4)
         assert err <= 1e-5, f"relative error {err:.2e}"
 
-    def student_z(ls, x=batch):
-        return embed(BoundParams(list(ls)), x)
+    def bound(ls):
+        return BoundParams(ls[0], student.layout)
 
-    check(lambda ls: meta_xent_loss(BoundParams(list(ls)), episode, temp)[0])
+    def student_z(ls, x=batch):
+        return embed(bound(ls), x)
+
+    check(lambda ls: meta_xent_loss(bound(ls), episode, temp)[0])
     check(lambda ls: ida_kl(student_z(ls), batch_teacher, teacher.anchors, temp))
     check(lambda ls: feature_drift(student_z(ls), batch_teacher))
 

@@ -325,48 +325,93 @@ def test_grads_add_rowvec():
                                      ad.add_rowvec(ls[0], ls[1]))), [m, r])
 
 
-def test_linear_matches_unfused_layer_bitwise():
-    """The fused layer equals matmul -> add_rowvec (-> relu) bit for bit, values and gradients."""
-    rng = np.random.default_rng(20)
-    x = rng.standard_normal((7, 5))
-    w = rng.standard_normal((5, 4))
-    b = rng.standard_normal(4)
-    b[0] = -50.0  # one column entirely below the relu kink
-    r = rng.standard_normal((7, 4))  # weights that make the loss use every output
-
-    def layer(relu, fused):
-        tape = ad.Tape()
-        leaves = [tape.leaf(a) for a in (x, w, b)]
-        if fused:
-            out = ad.linear(*leaves, relu=relu)
-        else:
-            out = ad.add_rowvec(ad.matmul(leaves[0], leaves[1]), leaves[2])
-            out = ad.relu(out) if relu else out
-        grads = tape.backward(ad.tsum(ad.mul(out, ad.constant(r))), [t.node for t in leaves])
-        return [out.data] + [grads[t.node] for t in leaves]
-
-    for relu in (False, True):
-        for got, want in zip(layer(relu, True), layer(relu, False)):
-            assert np.array_equal(got, want), relu
+def mlp_layout(dims):
+    """`ad.mlp`'s layout for layer widths `dims`, and the flat vector's length."""
+    layout, lo = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        layout.append((lo, lo + fan_in * fan_out, lo + (fan_in + 1) * fan_out, fan_in))
+        lo = layout[-1][2]
+    return tuple(layout), lo
 
 
-def test_grads_linear():
+MLP_DIMS = ((5, 4), (5, 6, 4), (5, 6, 3, 4))  # 1 to 3 layers
+
+
+def mlp_case(rng, dims):
+    layout, size = mlp_layout(dims)
+    flat = rng.standard_normal(size)
+    for _, b_lo, b_hi, _ in layout[:-1]:
+        flat[b_lo] = -50.0  # one hidden column entirely below the relu kink
+    return layout, flat
+
+
+def mlp_chain(x, params):
+    """The per-array chain W0, b0, W1, ...: matmul -> add_rowvec per layer, relu between."""
+    n = len(params) // 2
+    for i in range(n):
+        x = ad.add_rowvec(ad.matmul(x, params[2 * i]), params[2 * i + 1])
+        x = ad.relu(x) if i < n - 1 else x
+    return x
+
+
+def run_mlp(dims, embeds, x_on_tape, fused):
+    """Outputs, flat gradient, then input gradients of `embeds` blocks through one MLP."""
+    rng = np.random.default_rng(20 + len(dims))
+    layout, flat = mlp_case(rng, dims)
+    xs = [rng.standard_normal((7 + k, dims[0])) for k in range(embeds)]
+    rs = [rng.standard_normal((7 + k, dims[-1])) for k in range(embeds)]
+    tape = ad.Tape()
+    inputs = [tape.leaf(x) if x_on_tape else x for x in xs]
+    if fused:
+        params = [tape.leaf(flat)]
+        outs = [ad.mlp(x, params[0], layout) for x in inputs]
+    else:
+        params = [tape.leaf(a) for w_lo, b_lo, b_hi, fan_in in layout
+                  for a in (flat[w_lo:b_lo].reshape(fan_in, -1), flat[b_lo:b_hi])]
+        outs = [mlp_chain(x, params) for x in inputs]
+    terms = [ad.tsum(ad.mul(o, ad.constant(r))) for o, r in zip(outs, rs)]
+    loss = terms[0] if embeds == 1 else ad.add(*terms)
+    leaves = params + (inputs if x_on_tape else [])
+    grads = tape.backward(loss, [t.node for t in leaves])
+    flat_grad = np.concatenate([grads[p.node].ravel() for p in params])
+    return [o.data for o in outs] + [flat_grad] + [grads[x.node] for x in leaves[len(params):]]
+
+
+def test_mlp_matches_unfused_chain_bitwise():
+    """One mlp node per input block equals the per-array chain bit for bit, at 1 to 3 layers.
+
+    Values, every slice of the flat gradient, and the input gradient when
+    the input is a leaf; with two blocks on one leaf (an EIML step's episode
+    and exemplar embeds) the two nodes' gradients sum as the chain's do.
+    """
+    for dims in MLP_DIMS:
+        for embeds in (1, 2):
+            for x_on_tape in (False, True):
+                got, want = (run_mlp(dims, embeds, x_on_tape, fused) for fused in (True, False))
+                assert len(got) == len(want) == embeds * (2 if x_on_tape else 1) + 1
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (dims, embeds, x_on_tape)
+
+
+def test_grads_mlp():
     rng = np.random.default_rng(22)
-    x = rng.standard_normal((6, 3))
-    w = rng.standard_normal((3, 4))
-    b = rng.standard_normal(4)
-    for relu in (False, True):
+    for dims in MLP_DIMS:
+        layout, size = mlp_layout(dims)
+        x = rng.standard_normal((6, dims[0]))
+        flat = rng.standard_normal(size)
         # tmean of a square keeps the gradient away from a constant
-        check(lambda ls: ad.tmean(ad.mul(ad.linear(ls[0], ls[1], ls[2], relu=relu),
-                                         ad.linear(ls[0], ls[1], ls[2], relu=relu))),
-              [x, w, b])
+        check(lambda ls: ad.tmean(ad.mul(ad.mlp(ls[0], ls[1], layout),
+                                         ad.mlp(ls[0], ls[1], layout))), [x, flat])
 
 
-def test_linear_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="incompatible"):
-        ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
-    with pytest.raises(ValueError, match="bias"):
-        ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
+def test_mlp_rejects_bad_shapes():
+    layout, size = mlp_layout((3, 2))
+    with pytest.raises(ValueError, match="input of shape"):
+        ad.mlp(np.ones((2, 4)), np.ones(size), layout)
+    with pytest.raises(ValueError, match="input of shape"):
+        ad.mlp(np.ones(3), np.ones(size), layout)
+    with pytest.raises(ValueError, match="parameters"):
+        ad.mlp(np.ones((2, 3)), np.ones(size + 1), layout)
 
 
 def test_grads_pairwise_sqdist():
@@ -523,11 +568,12 @@ def test_grads_proto_ops():
 
 def test_masked_vjp_skips_constant_inputs():
     rng = np.random.default_rng(32)
-    x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+    layout, flat = mlp_case(rng, (4, 5, 3))
+    x = rng.standard_normal((6, 4))
     z, c = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
     p = ad.softmax_rows(rng.standard_normal((6, 4))).data
     q = ad.softmax_rows(rng.standard_normal((6, 4))).data
-    cases = (("linear", [x, w, b], (True,)), ("linear", [x, w, b], (False,)),
+    cases = (("mlp", [x, flat], (layout, True)),
              ("pairwise_sqdist", [z, c], ()), ("kl_div_rows", [p, q], ()))
     for op, values, aux in cases:
         spec = ad._OPS[op]
@@ -627,10 +673,14 @@ def test_off_tape_calls_keep_nothing():
     z, c = rng.standard_normal((9, 3)), rng.standard_normal((3, 3))
     sy, y = np.repeat(np.arange(3), 2), np.array([0, 2, 1])
     p = ad.softmax_rows(ad.scale(ad.pairwise_sqdist(z, c), -1.0))
+    layout, flat = mlp_case(rng, (3, 4, 4, 3))
     # constants in, a bare value out: no tape, no node to keep intermediates on
     for t in (ad.pairwise_sqdist(z, c), ad.kl_div_rows(p, p), ad.logsumexp_rows(z),
-              ad.proto_sqdist(z, sy, 3), ad.proto_xent(ad.proto_sqdist(z, sy, 3), y, 2.0)):
+              ad.proto_sqdist(z, sy, 3), ad.proto_xent(ad.proto_sqdist(z, sy, 3), y, 2.0),
+              ad.mlp(z, flat, layout)):
         assert t.tape is None and t.node is None
+    # off the tape, mlp's forward keeps no hidden layer's output
+    assert ad._OPS["mlp"].fwd([z, flat], (layout, False))[1] == []
     assert type(ad.prototype_distances(z[:6].reshape(1, 3, 2, 3), z[None, 6:])) is np.ndarray
 
     # on a tape, the constant teacher side records nothing; only tape nodes of
@@ -641,18 +691,20 @@ def test_off_tape_calls_keep_nothing():
     student = ad.softmax_rows(ad.scale(ad.pairwise_sqdist(leaf, c), -1.0))
     ad.tmean(ad.kl_div_rows(student, teacher))
     ad.proto_xent(ad.proto_sqdist(leaf, sy, 3), y, 2.0)
+    ad.mlp(z, tape.leaf(flat), layout)
     kept = [n.op for n in tape.nodes if n.saved is not None]
-    assert kept == ["pairwise_sqdist", "kl_div_rows", "proto_sqdist", "proto_xent"]
+    assert kept == ["pairwise_sqdist", "kl_div_rows", "proto_sqdist", "proto_xent", "mlp"]
+    assert len(tape.nodes[-1].saved) == 2  # the two hidden layers' outputs
     assert [n.op for n in tape.nodes].count("pairwise_sqdist") == 1
 
 
 def test_tape_records_which_inputs_need_gradients():
     tape = ad.Tape()
-    w = tape.leaf(np.ones((2, 3)))
-    out = ad.linear(np.ones((4, 2)), w, np.zeros(3))
+    layout, size = mlp_layout((2, 3))
+    out = ad.mlp(np.ones((4, 2)), tape.leaf(np.ones(size)), layout)
     node = tape.nodes[out.node]
-    assert node.needs == (False, True, False)
-    assert [tape.nodes[i].op for i in node.inputs] == ["const", "leaf", "const"]
+    assert node.needs == (False, True)
+    assert [tape.nodes[i].op for i in node.inputs] == ["const", "leaf"]
 
 
 def test_backward_sums_aliased_parts_out_of_place():

@@ -115,7 +115,7 @@ def test_adam_matches_scalar_recurrence():
     st = init_optim(ps, small_cfg(lr=lr))
     ref = reference_adam(g_seq, lr)
     for i, g in enumerate(g_seq):
-        adam_step(ps, [np.full((1, 1), g), np.full(1, g)], st)
+        adam_step(ps, np.full(2, g), st)
         assert abs(ps.weights[0][0, 0] - ref[i + 1]) < 1e-14
         assert abs(ps.biases[0][0] - ref[i + 1]) < 1e-14
     assert st.step == len(g_seq)
@@ -125,7 +125,7 @@ def test_adam_first_step_is_minus_lr():
     # bias correction makes the first step -lr * g/(|g| + eps') exactly
     ps = scalar_store()
     st = init_optim(ps, small_cfg(lr=0.01))
-    adam_step(ps, [np.full((1, 1), 3.7), np.full(1, -0.2)], st)
+    adam_step(ps, np.array([3.7, -0.2]), st)
     assert abs(ps.weights[0][0, 0] + 0.01) < 1e-9
     assert abs(ps.biases[0][0] - 0.01) < 1e-9
 
@@ -137,7 +137,7 @@ def test_adam_constant_gradient_step_size():
     prev = 0.0
     for _ in range(500):
         prev = ps.weights[0][0, 0]
-        adam_step(ps, [np.full((1, 1), 0.9), np.full(1, 0.9)], st)
+        adam_step(ps, np.full(2, 0.9), st)
     delta = abs(ps.weights[0][0, 0] - prev)
     assert abs(delta - 0.02) < 0.01 * 0.02
 
@@ -146,16 +146,15 @@ def test_adam_rejects_nonfinite_grads():
     ps = scalar_store()
     st = init_optim(ps, small_cfg())
     with pytest.raises(TrainingDivergenceError):
-        adam_step(ps, [np.full((1, 1), np.nan), np.zeros(1)], st)
+        adam_step(ps, np.array([np.nan, 0.0]), st)
 
 
-def test_adam_rejects_wrong_grad_count():
+def test_adam_rejects_wrong_grad_shape():
     ps = scalar_store()
     st = init_optim(ps, small_cfg())
-    with pytest.raises(ValueError):
-        adam_step(ps, [np.zeros((1, 1))], st)
-    with pytest.raises(ValueError, match="shape"):
-        adam_step(ps, [np.zeros(1), np.zeros(1)], st)
+    with pytest.raises(ValueError, match=r"gradient of shape \(3,\) for \(2,\) parameters"):
+        adam_step(ps, np.zeros(3), st)
+    assert st.step == 0 and np.array_equal(ps.flat, np.zeros(2))
 
 
 def test_flat_adam_matches_per_array_recurrence_bitwise():
@@ -168,7 +167,7 @@ def test_flat_adam_matches_per_array_recurrence_bitwise():
     rng = np.random.default_rng(9)
     for step in range(1, 61):
         grads = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 2) for a in ref]
-        adam_step(ps, grads, st)
+        adam_step(ps, np.concatenate([g.ravel() for g in grads]), st)
         c1, c2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
         for a, g, ma, va in zip(ref, grads, m, v):
             ma *= 0.9
@@ -437,7 +436,7 @@ def test_tape_nodes_per_step_pinned(monkeypatch):
     for method in (MethodKind.FT, MethodKind.DFA, MethodKind.IDA, MethodKind.EIML):
         train_incremental(base, new_tr, new_va, method, cfg, exemplars=ex)
     iml.trainer.train_paragon(old_tr, old_va, cfg)
-    assert counts == [15, 15, 22, 24, 37, 15]  # base, ft, dfa, ida, eiml, par
+    assert counts == [5, 5, 12, 14, 24, 5]  # base, ft, dfa, ida, eiml, par
 
 
 def test_incremental_rejects_too_many_anchors_before_logging(tmp_path):
@@ -597,6 +596,22 @@ def test_eiml_with_tiny_exemplar_budget():
     with pytest.raises(ValueError, match="at least 2 rows"):
         train_incremental(base, new_tr, new_va, MethodKind.EIML, small_cfg(),
                           exemplars=too_small)
+
+
+def test_eiml_one_class_exemplar_table_fails_before_the_first_step(monkeypatch):
+    """An exemplar table of one class cannot pose a task; the error names the table."""
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    steps = []
+    real = iml.trainer.adam_step
+    monkeypatch.setattr(iml.trainer, "adam_step", lambda *args: steps.append(1) or real(*args))
+    rng = np.random.default_rng(0)
+    one_class = reserve_exemplars(old_tr.subset_classes([0]), 6, rng)
+    with pytest.raises(ValueError, match=r"exemplar table 'exemplars' has 1 class\(es\); "
+                                         "exemplar episodes need at least 2 ways"):
+        train_incremental(base, new_tr, new_va, MethodKind.EIML, small_cfg(),
+                          exemplars=one_class)
+    assert steps == []
 
 
 def test_eiml_trains_with_default_budget():
