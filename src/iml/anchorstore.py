@@ -1,10 +1,12 @@
 """Anchor extraction and single-file snapshot persistence (.imlsnap).
 
-A snapshot file is one JSON document: a header describing shapes, config
-and metadata, plus a base64 payload of all parameter and anchor values as
-little-endian float64 in a fixed order.  A sha256 over the raw payload
-bytes guards against corruption, and writes go through a temp file and an
-atomic rename so a crash never leaves a half-written snapshot behind.
+A snapshot file is one JSON document: a header describing shapes, backbone
+config and metadata, plus a base64 payload of little-endian float64 values,
+``ParamStore.flat`` then the anchor centers.  Loading rebuilds the store
+from the header's config, so only `model.ParamStore` knows the parameter
+layout.  A sha256 over the raw payload bytes guards against corruption, and
+writes go through a temp file and an atomic rename so a crash never leaves
+a half-written snapshot behind.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ def extract_anchors(params: ParamStore, dataset: Dataset, round_tag: int = 0) ->
 
 
 def _payload(snapshot: ModelSnapshot) -> bytes:
-    # params.flat is W0, b0, W1, b1, ... in that order
     return b"".join(a.astype("<f8").tobytes(order="C")
                     for a in (snapshot.params.flat, snapshot.anchors.centers))
 
@@ -117,18 +118,15 @@ def load_snapshot(path) -> ModelSnapshot:
         raise SnapshotCorruptError(
             f"{path}: payload holds {len(payload)} bytes, header promises {8 * sum(counts)}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    arrays, offset = [], 0
-    for shape, cnt in zip(param_shapes + [anchor_shape], counts):
-        arrays.append(flat[offset : offset + cnt].reshape(shape))
-        offset += cnt
+    flat = np.frombuffer(payload, dtype="<f8")
+    n = sum(counts[:-1])
     try:
-        # freeze_snapshot checks the payload's shapes against the header's dims
+        # the header's dims fix the layout; its shapes must be the ones they give
+        params = ParamStore(config, flat[:n])
+        if [a.shape for a in params.arrays()] != param_shapes:
+            raise ValueError(f"param shapes {param_shapes} do not fit backbone dims {config.dims}")
         return freeze_snapshot(
-            config,
-            ParamStore(arrays[0:-1:2], arrays[1:-1:2]),
-            AnchorSet(tuple(anchor_ids), arrays[-1], round_tag),
-            meta,
+            params, AnchorSet(tuple(anchor_ids), flat[n:].reshape(anchor_shape), round_tag), meta
         )
     except ValueError as e:
         raise SnapshotCorruptError(f"{path}: inconsistent shapes ({e})") from e

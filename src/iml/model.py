@@ -7,7 +7,6 @@ Euclidean distance, optionally tempered into a posterior.
 """
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,29 +43,27 @@ class BackboneConfig:
 
 
 class ParamStore:
-    """Weight/bias arrays for one backbone; the live copy a trainer mutates.
+    """Weight/bias arrays for one backbone config; the live copy a trainer mutates.
 
     All parameters live in one float64 vector, ``flat``: W0, b0, W1, b1, ...
     ``layout`` gives each layer's ``(w_lo, b_lo, b_hi, fan_in)`` offsets in
-    it (see `autodiff.mlp`), and ``weights`` and ``biases`` are views into
-    it.  The constructor copies its inputs.
+    it (see `autodiff.mlp`); it is worked out from ``config.dims`` here and
+    nowhere else.  ``weights`` and ``biases`` are views into ``flat``.  The
+    constructor copies ``flat``.
     """
 
-    def __init__(self, weights: list[Array], biases: list[Array]):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need one bias per weight matrix and at least one layer")
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    def __init__(self, config: BackboneConfig, flat):
         layout, lo = [], 0
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
-                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
-            if i and weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: fan-in does not match previous fan-out")
-            layout.append((lo, lo + w.size, lo + w.size + b.size, w.shape[0]))
-            lo += w.size + b.size
+        for fan_in, fan_out in zip(config.dims[:-1], config.dims[1:]):
+            b_lo = lo + fan_in * fan_out
+            layout.append((lo, b_lo, b_lo + fan_out, fan_in))
+            lo = b_lo + fan_out
+        self.config = config
         self.layout = tuple(layout)
-        self.flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
+        self.flat = np.array(flat, dtype=np.float64)
+        if self.flat.shape != (lo,):
+            raise ValueError(f"parameters of shape {self.flat.shape} do not fit backbone dims "
+                             f"{config.dims}, which take {lo}")
         self.weights = [self.flat[w_lo:b_lo].reshape(fan_in, -1)
                         for w_lo, b_lo, _, fan_in in layout]
         self.biases = [self.flat[b_lo:b_hi] for _, b_lo, b_hi, _ in layout]
@@ -76,7 +73,7 @@ class ParamStore:
         return [a for wb in zip(self.weights, self.biases) for a in wb]
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self.weights, self.biases)
+        return ParamStore(self.config, self.flat)
 
     def bind(self, tape: Tape) -> "BoundParams":
         """Register ``flat`` as one tape leaf for one differentiable step."""
@@ -94,13 +91,12 @@ class BoundParams:
 def init_backbone(config: BackboneConfig, seed: int) -> ParamStore:
     """He-style init: W ~ U(-a, a) with a = sqrt(6/fan_in) (variance 2/fan_in), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
     dims = config.dims
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ParamStore(weights, biases)
+    params = ParamStore(config, np.zeros(sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))))
+    for w in params.weights:
+        bound = math.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def embed(params: ParamStore | BoundParams, x) -> Tensor:
@@ -170,30 +166,26 @@ class SnapshotMeta:
 
 @dataclass(frozen=True)
 class ModelSnapshot:
-    """Frozen (config, params, anchors, meta); the teacher side of alignment."""
+    """Frozen (params, anchors, meta); the teacher side of alignment."""
 
-    config: BackboneConfig
     params: ParamStore
     anchors: AnchorSet
     meta: SnapshotMeta
 
+    @property
+    def config(self) -> BackboneConfig:
+        return self.params.config
 
-def freeze_snapshot(
-    config: BackboneConfig, params: ParamStore, anchors: AnchorSet, meta: SnapshotMeta
-) -> ModelSnapshot:
-    """Deep-copy everything so later training cannot mutate the snapshot."""
-    got = tuple([params.weights[0].shape[0]] + [w.shape[1] for w in params.weights])
-    if got != config.dims:
-        raise ValueError(f"params with dims {got} do not fit backbone dims {config.dims}")
-    if len(anchors) and anchors.dim != config.embed_dim:
-        raise ValueError(
-            f"anchor width {anchors.dim} does not match embed_dim {config.embed_dim}"
-        )
+
+def freeze_snapshot(params: ParamStore, anchors: AnchorSet, meta: SnapshotMeta) -> ModelSnapshot:
+    """Copy the arrays so later training cannot mutate the snapshot."""
+    embed_dim = params.config.embed_dim
+    if len(anchors) and anchors.dim != embed_dim:
+        raise ValueError(f"anchor width {anchors.dim} does not match embed_dim {embed_dim}")
     return ModelSnapshot(
-        config,
         params.copy(),
         AnchorSet(anchors.class_ids, anchors.centers.copy(), anchors.round_tag),
-        copy.deepcopy(meta),
+        meta,
     )
 
 

@@ -9,7 +9,7 @@ episode accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -271,7 +271,7 @@ def train_base(
          lambda bound, ep: meta_xent_loss(bound, ep, cfg.temperature))
     anchors = extract_anchors(params, train_ds, round_tag=0)
     meta = SnapshotMeta(seed=cfg.seed, round_index=0, method=method_tag)
-    return freeze_snapshot(backbone, params, anchors, meta)
+    return freeze_snapshot(params, anchors, meta)
 
 
 def train_paragon(union_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> ModelSnapshot:
@@ -348,7 +348,7 @@ def train_incremental(
     new_anchors = extract_anchors(params, new_ds, round_tag=round_index)
     anchors = merge_anchor_sets(old.anchors, new_anchors)
     meta = SnapshotMeta(seed=cfg.seed, round_index=round_index, method=method.value)
-    return freeze_snapshot(old.config, params, anchors, meta)
+    return freeze_snapshot(params, anchors, meta)
 
 
 def run_rounds(
@@ -361,7 +361,9 @@ def run_rounds(
     """Chain incremental updates; each round's snapshot teaches the next.
 
     Without explicit validation sets a round validates on its own data
-    (fresh episodes, metric only steers the lr schedule).
+    (fresh episodes, metric only steers the lr schedule).  With a
+    `log_path`, round k (from 1) logs to its own file beside it,
+    `<stem>_r<k><suffix>`, as `iml rounds` names round k's snapshot.
     """
     if not round_datasets:
         raise ValueError("need at least one round dataset")
@@ -369,9 +371,11 @@ def run_rounds(
         raise ValueError("need one validation dataset per round")
     snapshots: list[ModelSnapshot] = []
     teacher = base
-    for i, ds in enumerate(round_datasets):
-        val = round_vals[i] if round_vals is not None else ds
-        snap = train_incremental(teacher, ds, val, method, cfg)
+    log = Path(cfg.log_path) if cfg.log_path else None
+    for k, ds in enumerate(round_datasets, 1):
+        val = round_vals[k - 1] if round_vals is not None else ds
+        round_cfg = replace(cfg, log_path=log and str(log.with_stem(f"{log.stem}_r{k}")))
+        snap = train_incremental(teacher, ds, val, method, round_cfg)
         snapshots.append(snap)
         teacher = snap
     return snapshots

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from iml.model import (
 
 
 CFG = BackboneConfig(4, (6,), 3)
+# A 3 -> 4 -> 2 snapshot with two anchors, written by an earlier build and
+# committed, so a reader and a writer that drift together still fail here.
+OLD_FILE = Path(__file__).parent / "data" / "tiny_3_4_2.imlsnap"
 
 
 def tiny_dataset():
@@ -37,7 +41,7 @@ def make_snapshot(seed=0):
     params = init_backbone(CFG, seed)
     ds = tiny_dataset()
     anchors = extract_anchors(params, ds)
-    return freeze_snapshot(CFG, params, anchors, SnapshotMeta(seed, 0, "base"))
+    return freeze_snapshot(params, anchors, SnapshotMeta(seed, 0, "base"))
 
 
 def test_extract_anchors_means_all_rows():
@@ -159,9 +163,21 @@ def test_load_rejects_header_dims_that_do_not_fit_payload(tmp_path):
             load_snapshot(p)
 
 
+def test_load_rejects_param_shapes_the_dims_do_not_give(tmp_path):
+    """Shapes with the payload's total size, but not the ones the header's dims lay out."""
+    p = tmp_path / "m.imlsnap"
+    save_snapshot(make_snapshot(), p)
+    doc = json.loads(p.read_text())
+    assert doc["param_shapes"] == [[4, 6], [6], [6, 3], [3]]
+    doc["param_shapes"] = [[6, 4], [6], [6, 3], [3]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotCorruptError, match="do not fit backbone dims"):
+        load_snapshot(p)
+
+
 def test_load_rejects_anchor_width_that_does_not_fit_embed_dim(tmp_path):
     params = init_backbone(CFG, 0)
-    snap = freeze_snapshot(CFG, params, AnchorSet((5,), np.zeros((1, 3))), SnapshotMeta(0, 0, "b"))
+    snap = freeze_snapshot(params, AnchorSet((5,), np.zeros((1, 3))), SnapshotMeta(0, 0, "b"))
     p = tmp_path / "m.imlsnap"
     save_snapshot(snap, p)
     doc = json.loads(p.read_text())
@@ -175,7 +191,7 @@ def test_load_rejects_anchor_width_that_does_not_fit_embed_dim(tmp_path):
 def test_meta_round_index_preserved(tmp_path):
     params = init_backbone(CFG, 0)
     anchors = AnchorSet((5, 9), np.zeros((2, 3)), round_tag=2)
-    snap = freeze_snapshot(CFG, params, anchors, SnapshotMeta(7, 2, "ida"))
+    snap = freeze_snapshot(params, anchors, SnapshotMeta(7, 2, "ida"))
     p = tmp_path / "m.imlsnap"
     save_snapshot(snap, p)
     back = load_snapshot(p)
@@ -183,3 +199,20 @@ def test_meta_round_index_preserved(tmp_path):
     assert back.meta.method == "ida"
     assert back.anchors.round_tag == 2
     assert back.anchors.class_ids == (5, 9)
+
+
+def test_committed_snapshot_loads_and_resaves_bytewise(tmp_path):
+    snap = load_snapshot(OLD_FILE)
+    digest = "5243b65bb7c94f92c14d9441a76d563acbc99e8da8c234579bbc21cff1bff3da"
+    assert snapshot_digest(snap) == digest
+    assert snap.config == BackboneConfig(3, (4,), 2)
+    assert snap.meta == SnapshotMeta(7, 1, "ida")
+    assert (snap.anchors.class_ids, snap.anchors.round_tag) == ((3, 8), 1)
+    # the last value of each array pins its boundary with the next one
+    w0, b0, w1, b1 = snap.params.arrays()
+    assert [w0[2, 3], b0[3], w1[3, 1], b1[1], snap.anchors.centers[1, 1]] == [
+        -0.7313225212292476, 0.16378857220098098, -0.7756786842437912,
+        -0.25228975964635664, 0.27226068000682285]
+    again = tmp_path / "again.imlsnap"
+    save_snapshot(snap, again)
+    assert again.read_bytes() == OLD_FILE.read_bytes()

@@ -320,7 +320,7 @@ def test_eval_snapshot_dim_mismatch(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", out]) == 0
     cfg = BackboneConfig(3, (4,), 2)
-    snap = freeze_snapshot(cfg, init_backbone(cfg, 0), AnchorSet((), np.zeros((0, 2))),
+    snap = freeze_snapshot(init_backbone(cfg, 0), AnchorSet((), np.zeros((0, 2))),
                            SnapshotMeta(0, 0, "base"))
     path = str(tmp_path / "narrow.imlsnap")
     save_snapshot(snap, path)

@@ -171,7 +171,7 @@ def test_evaluate_matches_per_episode_oracle(base_snap, ways, shots):
 def wide_snapshot(embed_dim=16, seed=5):
     """An untrained snapshot with the benchmark's 16-dim embedding."""
     config = BackboneConfig(DIM, (8,), embed_dim)
-    return freeze_snapshot(config, init_backbone(config, seed),
+    return freeze_snapshot(init_backbone(config, seed),
                            AnchorSet((), np.zeros((0, embed_dim))), SnapshotMeta(seed, 0, "nu"))
 
 
@@ -329,10 +329,7 @@ def test_evaluate_tied_scores_give_exact_chance():
     labels = np.repeat(np.arange(8), 10)
     ds = Dataset(feats, labels, "flat")
     params = init_backbone(BackboneConfig(DIM, (8,), DIM), seed=0)
-    snap = freeze_snapshot(
-        BackboneConfig(DIM, (8,), DIM), params,
-        AnchorSet((), np.zeros((0, DIM))), SnapshotMeta(0, 0, "nu"),
-    )
+    snap = freeze_snapshot(params, AnchorSet((), np.zeros((0, DIM))), SnapshotMeta(0, 0, "nu"))
     rep = evaluate(snap, ds, EpisodeSpec(ways, 1, 5), 20, 0)
     assert rep.mean_acc == 1.0 / ways
     assert rep.ci95 == 0.0
@@ -346,10 +343,7 @@ def test_evaluate_unstructured_data_near_chance():
     labels = np.repeat(np.arange(8), 25)
     ds = Dataset(feats, labels, "noise")
     params = init_backbone(BackboneConfig(DIM, (8,), DIM), seed=1)
-    snap = freeze_snapshot(
-        BackboneConfig(DIM, (8,), DIM), params,
-        AnchorSet((), np.zeros((0, DIM))), SnapshotMeta(1, 0, "nu"),
-    )
+    snap = freeze_snapshot(params, AnchorSet((), np.zeros((0, DIM))), SnapshotMeta(1, 0, "nu"))
     rep = evaluate(snap, ds, EpisodeSpec(5, 1, 5), 100, 0)
     assert 0.10 < rep.mean_acc < 0.35
 

@@ -27,19 +27,19 @@ from iml.model import (
 
 
 def identity_params(dim=2):
-    return ParamStore([np.eye(dim)], [np.zeros(dim)])
+    return shifted_params(np.zeros(dim))
 
 
 def shifted_params(delta):
-    delta = np.asarray(delta, dtype=float)
-    return ParamStore([np.eye(len(delta))], [delta])
+    """One linear layer: the identity map plus the bias `delta`."""
+    dim = len(delta)
+    return ParamStore(BackboneConfig(dim, (), dim), np.concatenate([np.eye(dim).ravel(), delta]))
 
 
-def snapshot_for(params, anchors=None, dim=2):
+def snapshot_for(params, anchors=None):
     if anchors is None:
         anchors = AnchorSet((0, 1), np.array([[0.0, 0.0], [3.0, 0.0]]))
-    cfg = BackboneConfig(dim, (), dim)
-    return freeze_snapshot(cfg, params, anchors, SnapshotMeta(0, 0, "base"))
+    return freeze_snapshot(params, anchors, SnapshotMeta(0, 0, "base"))
 
 
 def two_way_episode():
@@ -142,7 +142,7 @@ def test_ida_validation():
 def test_ida_gradients():
     rng = np.random.default_rng(2)
     cfg = BackboneConfig(4, (6,), 3)
-    old = freeze_snapshot(cfg, init_backbone(cfg, 0),
+    old = freeze_snapshot(init_backbone(cfg, 0),
                           AnchorSet((0, 1, 2), rng.standard_normal((3, 3))),
                           SnapshotMeta(0, 0, "base"))
     student = init_backbone(cfg, 1)
@@ -169,7 +169,7 @@ def test_dfa_zero_and_known_displacement():
 def test_dfa_gradients():
     rng = np.random.default_rng(4)
     cfg = BackboneConfig(4, (5,), 3)
-    old = freeze_snapshot(cfg, init_backbone(cfg, 0),
+    old = freeze_snapshot(init_backbone(cfg, 0),
                           AnchorSet((0,), np.zeros((1, 3))), SnapshotMeta(0, 0, "base"))
     student = init_backbone(cfg, 1)
     batch = rng.standard_normal((5, 4))
@@ -186,7 +186,7 @@ def eiml_fixture(seed=0):
     old_params = init_backbone(cfg, 10)
     ep = synthetic_episode(seed=seed)
     anchors = AnchorSet(ep.class_map, rng.standard_normal((ep.n_ways, 4)))
-    old = freeze_snapshot(cfg, old_params, anchors, SnapshotMeta(0, 0, "base"))
+    old = freeze_snapshot(old_params, anchors, SnapshotMeta(0, 0, "base"))
     batch = rng.standard_normal((9, 5))
     return old, ep, batch, cfg
 

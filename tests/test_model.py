@@ -59,12 +59,11 @@ def test_init_deterministic_in_seed():
 
 
 def test_param_store_validation():
-    with pytest.raises(ValueError, match="fan-in"):
-        ParamStore([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
-    with pytest.raises(ValueError, match="disagree"):
-        ParamStore([np.zeros((3, 4))], [np.zeros(5)])
-    with pytest.raises(ValueError):
-        ParamStore([], [])
+    cfg = BackboneConfig(3, (4,), 2)  # 3*4 + 4 + 4*2 + 2 = 26 parameters
+    assert ParamStore(cfg, np.zeros(26)).flat.shape == (26,)
+    for flat in (np.zeros(25), np.zeros(27), np.zeros((2, 13)), np.zeros(0)):
+        with pytest.raises(ValueError, match="do not fit backbone dims"):
+            ParamStore(cfg, flat)
 
 
 def test_param_store_copy_is_deep():
@@ -92,9 +91,10 @@ def test_param_store_is_one_flat_buffer():
     assert all(a.base is cp.flat for a in cp.arrays())
     for x, y in zip(cp.arrays(), ps.arrays()):
         assert np.array_equal(x, y)
-    # the constructor copies its inputs too
-    w = np.ones((2, 2))
-    assert not np.shares_memory(ParamStore([w], [np.zeros(2)]).flat, w)
+    assert cp.config == ps.config and cp.layout == ps.layout
+    # the constructor copies its input too
+    flat = np.ones(6)
+    assert not np.shares_memory(ParamStore(BackboneConfig(2, (), 2), flat).flat, flat)
 
 
 def test_embed_accepts_store_and_bound():
@@ -273,8 +273,7 @@ def test_discriminant_prefers_nearest_anchor():
 def test_freeze_snapshot_detaches_params():
     ps = init_backbone(BackboneConfig(3, (4,), 2), 0)
     anchors = AnchorSet((0,), np.zeros((1, 2)))
-    snap = freeze_snapshot(BackboneConfig(3, (4,), 2), ps, anchors,
-                           SnapshotMeta(seed=0, round_index=0, method="base"))
+    snap = freeze_snapshot(ps, anchors, SnapshotMeta(seed=0, round_index=0, method="base"))
     ps.weights[0][0, 0] = 77.0
     assert snap.params.weights[0][0, 0] != 77.0
     assert isinstance(snap, ModelSnapshot)
@@ -282,13 +281,11 @@ def test_freeze_snapshot_detaches_params():
 
 def test_freeze_snapshot_rejects_mismatched_shapes():
     cfg = BackboneConfig(3, (4,), 2)
-    good = init_backbone(cfg, 0)
-    wrong = init_backbone(BackboneConfig(3, (5,), 2), 0)
+    params = init_backbone(cfg, 0)
     meta = SnapshotMeta(0, 0, "base")
-    with pytest.raises(ValueError, match="do not fit"):
-        freeze_snapshot(cfg, wrong, AnchorSet((0,), np.zeros((1, 2))), meta)
+    assert freeze_snapshot(params, AnchorSet((0,), np.zeros((1, 2))), meta).config == cfg
     with pytest.raises(ValueError, match="anchor width"):
-        freeze_snapshot(cfg, good, AnchorSet((0,), np.zeros((1, 3))), meta)
+        freeze_snapshot(params, AnchorSet((0,), np.zeros((1, 3))), meta)
 
 
 def episode_for_scoring():
@@ -302,7 +299,7 @@ def episode_for_scoring():
 
 def test_score_episode_identity_net():
     # single linear layer initialized to identity keeps the geometry
-    ps = ParamStore([np.eye(2)], [np.zeros(2)])
+    ps = ParamStore(BackboneConfig(2, (), 2), np.r_[np.eye(2).ravel(), np.zeros(2)])
     ep = episode_for_scoring()
     assert score_episode(ps, ep) == 1.0
 

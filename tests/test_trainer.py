@@ -52,7 +52,7 @@ def reference_adam(g_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def scalar_store():
     # 1x1 linear layer: a single weight plus a single bias
-    return ParamStore([np.zeros((1, 1))], [np.zeros(1)])
+    return ParamStore(BackboneConfig(1, (), 1), np.zeros(2))
 
 
 def small_cfg(**kw):
@@ -623,19 +623,41 @@ def test_eiml_trains_with_default_budget():
     assert snap.anchors.class_ids == old_tr.classes + new_tr.classes
 
 
-def test_run_rounds_chains_snapshots():
+def two_rounds():
+    """A base snapshot, then two rounds of 4 new classes each, with validation tables."""
     old_tr, old_va, new_tr, new_va = domain_data(classes=8)
     base = train_base(old_tr, old_va, small_cfg())
-    b = new_tr.classes
-    r1, r2 = list(b[:4]), list(b[4:])
-    rounds = [new_tr.subset_classes(r1, "r1"), new_tr.subset_classes(r2, "r2")]
-    vals = [new_va.subset_classes(r1, "r1"), new_va.subset_classes(r2, "r2")]
+    groups = [list(new_tr.classes[:4]), list(new_tr.classes[4:])]
+    rounds = [new_tr.subset_classes(g, f"r{k}") for k, g in enumerate(groups, 1)]
+    vals = [new_va.subset_classes(g, f"r{k}") for k, g in enumerate(groups, 1)]
+    return old_tr, base, rounds, vals
+
+
+def test_run_rounds_chains_snapshots():
+    old_tr, base, rounds, vals = two_rounds()
+    r1, r2 = rounds[0].classes, rounds[1].classes
     chain = run_rounds(base, rounds, MethodKind.IDA, small_cfg(), round_vals=vals)
     assert len(chain) == 2
     assert [s.meta.round_index for s in chain] == [1, 2]
     assert len(chain[0].anchors) == 8 + 4
     assert len(chain[1].anchors) == 8 + 8
     assert chain[1].anchors.class_ids == old_tr.classes + tuple(r1) + tuple(r2)
+
+
+def test_run_rounds_logs_each_round(tmp_path):
+    _, base, rounds, vals = two_rounds()
+    cfg = small_cfg(log_path=str(tmp_path / "rounds_ida.csv"))
+    chain = run_rounds(base, rounds, MethodKind.IDA, cfg, round_vals=vals)
+    logs = [tmp_path / "rounds_ida_r1.csv", tmp_path / "rounds_ida_r2.csv"]
+    assert sorted(tmp_path.iterdir()) == logs
+    # each round's log is the whole log of that round trained alone
+    for log, teacher, ds, val in zip(logs, [base, chain[0]], rounds, vals):
+        rows = log.read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            [str(e), s] for e in range(cfg.epochs) for s in ("train", "val")]
+        lone = tmp_path / "lone" / log.name
+        train_incremental(teacher, ds, val, MethodKind.IDA, small_cfg(log_path=str(lone)))
+        assert lone.read_text() == log.read_text()
 
 
 def test_run_rounds_rejects_nu():
