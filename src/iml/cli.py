@@ -27,7 +27,6 @@ from .data import (
     concat_datasets,
     gen_synthetic,
     load_dataset,
-    reserve_exemplars,
     save_dataset,
     uniform_offset,
     write_text_atomic,
@@ -44,6 +43,7 @@ from .model import BackboneConfig, ModelSnapshot
 from .trainer import (
     TrainConfig,
     run_rounds,
+    seeded_exemplars,
     train_base,
     train_incremental,
     train_paragon,
@@ -458,11 +458,8 @@ def cmd_train_incr(args, rc: RunConfig) -> int:
     val_ds = _load_role(rc, rp, "new_val")
     exemplars = None
     if method is MethodKind.EIML:
-        old_ds = _load_role(rc, rp, "old_train")
-        count = rc.train.exemplars_per_class
-        exemplars = reserve_exemplars(
-            old_ds, count, np.random.default_rng([rc.train.seed, 301, count])
-        )
+        exemplars = seeded_exemplars(_load_role(rc, rp, "old_train"),
+                                     rc.train.exemplars_per_class, rc.train.seed)
     cfg = _train_cfg(rc, rp, new_ds.dim, f"incr_{method.value}")
     snap = train_incremental(base, new_ds, val_ds, method, cfg, exemplars=exemplars)
     return _save_snapshots({_snapshot_path(rp, method.value): snap})

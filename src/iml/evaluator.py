@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .autodiff import Array
-from .data import Dataset, EpisodeSpec, eval_episode_rows, reserve_exemplars
+from .data import Dataset, EpisodeSpec, eval_episode_rows
 from .losses import MethodKind
 from .model import ModelSnapshot, embed, score_episodes
-from .trainer import TrainConfig, train_incremental
+from .trainer import TrainConfig, seeded_exemplars, train_incremental
 
 
 @dataclass(frozen=True)
@@ -183,9 +181,7 @@ def sweep_exemplars(
         raise ValueError(f"exemplar budgets must be at least 1 per class, got {empty}")
     rows = []
     for count in counts:
-        ex = reserve_exemplars(
-            old_ds, count, np.random.default_rng([cfg.seed, 301, count])
-        )
+        ex = seeded_exemplars(old_ds, count, cfg.seed)
         snap = train_incremental(
             base, new_ds, new_val, MethodKind.EIML,
             replace(cfg, exemplars_per_class=count), exemplars=ex,

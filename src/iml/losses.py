@@ -24,7 +24,6 @@ from .data import Episode
 from .model import (
     AnchorSet,
     BoundParams,
-    ModelSnapshot,
     ParamStore,
     discriminant,
     embed,
@@ -43,46 +42,23 @@ class MethodKind(str, Enum):
 KL_ORDERS = ("student_first", "teacher_first")
 
 
-@dataclass(frozen=True)
-class AlignAux:
-    """Per-step side inputs the alignment terms need.
-
-    ``teacher_z`` and ``exemplar_teacher_z`` are the frozen teacher's
-    embeddings of ``episode.inputs`` and of ``exemplar_episode.inputs``,
-    typically gathered from a table embedded once per round.  An aligning
-    step with a nonzero weight requires them: ``teacher_z`` for ida, dfa
-    and eiml, and ``exemplar_teacher_z`` as well for eiml.
-    """
-
-    anchors: AnchorSet | None = None
-    exemplar_episode: Episode | None = None
-    teacher_z: Array | None = None
-    exemplar_teacher_z: Array | None = None
-
-
 @dataclass
 class LossBreakdown:
     """Total objective plus its components, all as scalar tensors.
 
-    For non-exemplar methods: total == meta_ce + lam * align.
-    For ``eiml``:             total == meta_ce + lam_old * align_old
-                                               + lam_new * align_new.
-    A method that `align_weights` gives no weights has ``total is meta_ce``
-    and a zero ``align``.
-    ``sqdists`` holds the query-to-prototype squared distances meta_ce
-    was computed from.
+    ``terms`` maps each alignment term the method adds -- ``align`` for ida
+    and dfa, ``align_old`` then ``align_new`` for eiml -- to its
+    ``(weight, value)``.  ``total`` is ``meta_ce`` plus each weighted term,
+    added in that order; a method that `align_weights` gives no weights has
+    no terms and ``total is meta_ce``.  ``sqdists`` holds the
+    query-to-prototype squared distances meta_ce was computed from.
     """
 
     method: MethodKind
     total: Tensor
     meta_ce: Tensor
-    align: Tensor | None
-    lam: float
-    align_old: Tensor | None = None
-    align_new: Tensor | None = None
-    lam_old: float | None = None
-    lam_new: float | None = None
-    sqdists: Tensor | None = None
+    sqdists: Tensor
+    terms: dict[str, tuple[float, Tensor]]
 
 
 # ---- cores: each formula once, on embeddings of the rows it scores ----
@@ -166,26 +142,31 @@ def align_weights(method: MethodKind, lam: float, lam_old: float | None,
     return weights if any(w != 0.0 for w in weights) else ()
 
 
+# The teacher-side inputs each aligning method reads.
+_TEACHER_INPUTS = {
+    MethodKind.DFA: ("teacher_z",),
+    MethodKind.IDA: ("teacher_z", "anchors"),
+    MethodKind.EIML: ("teacher_z", "anchors", "exemplar_episode", "exemplar_teacher_z"),
+}
+
+
 def incremental_objective(
-    method: MethodKind | str,
-    old: ModelSnapshot | None,
-    new_params: ParamStore | BoundParams,
-    episode: Episode,
-    aux: AlignAux,
-    lam: float,
-    temperature: float,
-    kl_order: str = "student_first",
-    lam_old: float | None = None,
-    lam_new: float | None = None,
+    method: MethodKind | str, new_params: ParamStore | BoundParams, episode: Episode,
+    lam: float, temperature: float, kl_order: str = "student_first",
+    lam_old: float | None = None, lam_new: float | None = None, *,
+    teacher_z: Array | None = None, anchors: AnchorSet | None = None,
+    exemplar_episode: Episode | None = None, exemplar_teacher_z: Array | None = None,
 ) -> LossBreakdown:
-    """Episodic cross-entropy plus the method's weighted alignment term.
+    """Episodic cross-entropy plus the method's weighted alignment terms.
 
     The episode's inputs are embedded once, and the meta term and the
-    alignment term both read that embedding; the teacher's side is read
-    from `aux`, and a missing ``aux`` field an aligning method needs raises
-    ``ValueError``.  When `align_weights` gives no weights the alignment
-    branch is skipped outright, before any of those checks, so the total
-    *is* the meta term, bitwise.
+    alignment terms both read that embedding.  The teacher's side comes in
+    as arrays: ``teacher_z`` and ``exemplar_teacher_z`` are the frozen
+    teacher's embeddings of ``episode.inputs`` and ``exemplar_episode.inputs``,
+    and ``anchors`` are the stored anchors to align on (ida's sampled subset,
+    eiml's exemplar classes).  A missing input the method reads raises
+    ``ValueError``.  When `align_weights` gives no weights the alignment is
+    skipped before that check, so the total *is* the meta term, bitwise.
     """
     method = MethodKind(method)
     weights = align_weights(method, lam, lam_old, lam_new)
@@ -193,33 +174,24 @@ def incremental_objective(
     d = ad.proto_sqdist(z, episode.support_y, episode.n_ways)
     meta = ad.proto_xent(d, episode.query_y, temperature)
     if not weights:
-        return LossBreakdown(method, meta, meta, ad.constant(0.0), lam, sqdists=d)
-    if old is None:
-        raise ValueError(f"{method.value} needs a frozen teacher snapshot")
+        return LossBreakdown(method, meta, meta, d, {})
+    given = {"teacher_z": teacher_z, "anchors": anchors,
+             "exemplar_episode": exemplar_episode, "exemplar_teacher_z": exemplar_teacher_z}
+    missing = [name for name in _TEACHER_INPUTS[method] if given[name] is None]
+    if missing:
+        raise ValueError(f"{method.value} needs {', '.join(missing)}")
 
     if method is MethodKind.EIML:
-        ex = aux.exemplar_episode
-        if ex is None:
-            raise ValueError("eiml needs an exemplar episode in aux")
-        if aux.teacher_z is None or aux.exemplar_teacher_z is None:
-            raise ValueError("eiml needs teacher_z and exemplar_teacher_z in aux")
-        lo, ln = weights
-        a_old = exemplar_kl(embed(new_params, ex.inputs), aux.exemplar_teacher_z,
-                            ex, temperature)
-        # align_new is IDA over the exemplar classes' stored anchors; only it takes kl_order
-        a_new = ida_kl(z, aux.teacher_z, old.anchors.restrict(ex.class_map),
-                       temperature, kl_order)
-        total = ad.add(ad.add(meta, ad.scale(a_old, lo)), ad.scale(a_new, ln))
-        return LossBreakdown(method, total, meta, None, lam, a_old, a_new, lo, ln, d)
-
-    # ida / dfa, both on the episode's own rows
-    if method is MethodKind.IDA and aux.anchors is None:
-        raise ValueError("ida needs an anchor subset in aux")
-    if aux.teacher_z is None:
-        raise ValueError(f"{method.value} needs teacher_z in aux")
-    if method is MethodKind.IDA:
-        align = ida_kl(z, aux.teacher_z, aux.anchors, temperature, kl_order)
+        a_old = exemplar_kl(embed(new_params, exemplar_episode.inputs), exemplar_teacher_z,
+                            exemplar_episode, temperature)
+        # align_new is IDA over the exemplar classes' anchors; only it takes kl_order
+        terms = {"align_old": (weights[0], a_old),
+                 "align_new": (weights[1], ida_kl(z, teacher_z, anchors, temperature, kl_order))}
+    elif method is MethodKind.IDA:
+        terms = {"align": (weights[0], ida_kl(z, teacher_z, anchors, temperature, kl_order))}
     else:
-        align = feature_drift(z, aux.teacher_z)
-    total = ad.add(meta, ad.scale(align, lam))
-    return LossBreakdown(method, total, meta, align, lam, sqdists=d)
+        terms = {"align": (weights[0], feature_drift(z, teacher_z))}
+    total = meta
+    for w, value in terms.values():
+        total = ad.add(total, ad.scale(value, w))
+    return LossBreakdown(method, total, meta, d, terms)

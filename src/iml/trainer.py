@@ -1,8 +1,8 @@
 """Episodic training loops: base training, incremental updates, paragon.
 
 All randomness is derived from the config seed through named sub-streams
-(episode sampling, anchor subsets, exemplar episodes, validation), so a
-run is a pure function of its config and inputs.  Training is plain Adam
+(episode sampling, anchor subsets, exemplar episodes, validation, and the
+exemplar reserve), so a run is a pure function of its config and inputs.  Training is plain Adam
 with a reduce-on-plateau learning-rate schedule driven by validation
 episode accuracy.
 """
@@ -18,11 +18,11 @@ import numpy as np
 from .anchorstore import extract_anchors
 from .autodiff import Array, Tape, Tensor
 from .data import (
-    Dataset, Episode, EpisodeSpec, draw_episode_rows, sample_anchor_subset,
+    Dataset, Episode, EpisodeSpec, draw_episode_rows, reserve_exemplars, sample_anchor_subset,
     sample_episode, write_text_atomic,
 )
 from .losses import (
-    KL_ORDERS, AlignAux, MethodKind, align_weights, incremental_objective, meta_xent_loss,
+    KL_ORDERS, MethodKind, align_weights, incremental_objective, meta_xent_loss,
 )
 from .model import (
     BackboneConfig,
@@ -43,6 +43,12 @@ _EPISODE_STREAM = 101
 _ANCHOR_STREAM = 102
 _EXEMPLAR_STREAM = 103
 _VAL_STREAM = 104
+_RESERVE_STREAM = 301
+
+
+def seeded_exemplars(old_ds: Dataset, count: int, seed: int) -> Dataset:
+    """`reserve_exemplars` of `count` rows per class of `old_ds`, from the run's reserve stream."""
+    return reserve_exemplars(old_ds, count, np.random.default_rng([seed, _RESERVE_STREAM, count]))
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -320,28 +326,24 @@ def train_incremental(
     exemplar_spec = _exemplar_episode_spec(cfg, exemplars) if use_exemplars else None
     if use_exemplars:
         _check_tables(old.config.input_dim, exemplar_spec, exemplar=exemplars)
+        old.anchors.restrict(exemplars.classes)  # raises unless every exemplar class is anchored
     # The teacher is frozen, so its embedding of a row never changes: embed
     # each table once per round and gather every step's rows from it.
     teacher_z = embed(old.params, new_ds.features).data if need_align else None
     exemplar_teacher_z = embed(old.params, exemplars.features).data if use_exemplars else None
 
     def objective(bound, ep):
-        aux = AlignAux()
+        teacher = {}
         if need_align:
-            teacher = teacher_z[ep.rows]
+            teacher["teacher_z"] = teacher_z[ep.rows]
             if method is MethodKind.IDA:
-                aux = AlignAux(anchors=sample_anchor_subset(old.anchors, k, anchor_rng),
-                               teacher_z=teacher)
+                teacher["anchors"] = sample_anchor_subset(old.anchors, k, anchor_rng)
             elif method is MethodKind.EIML:
                 ex = sample_episode(exemplars, exemplar_spec, ex_rng)
-                aux = AlignAux(exemplar_episode=ex, teacher_z=teacher,
+                teacher.update(anchors=old.anchors.restrict(ex.class_map), exemplar_episode=ex,
                                exemplar_teacher_z=exemplar_teacher_z[ex.rows])
-            else:
-                aux = AlignAux(teacher_z=teacher)
-        br = incremental_objective(
-            method, old, bound, ep, aux,
-            cfg.lam, cfg.temperature, cfg.kl_order, cfg.lam_old, cfg.lam_new,
-        )
+        br = incremental_objective(method, bound, ep, cfg.lam, cfg.temperature, cfg.kl_order,
+                                   cfg.lam_old, cfg.lam_new, **teacher)
         return br.total, br.sqdists
 
     _fit(params, new_ds, val_ds, cfg, round_index, objective)

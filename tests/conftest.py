@@ -1,4 +1,10 @@
+import os
 import re
+
+# One BLAS thread for the suite, as the benchmark runs (bench/run.py); this
+# must be set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 _CRITERIA = {
     1: "gradient check vs central differences",

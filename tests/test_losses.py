@@ -6,7 +6,6 @@ import pytest
 import iml.autodiff as ad
 from iml.data import Episode, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, uniform_offset
 from iml.losses import (
-    AlignAux,
     MethodKind,
     exemplar_kl,
     feature_drift,
@@ -210,11 +209,11 @@ def test_eiml_align_new_matches_ida_on_episode_anchors():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 11)
     task = synthetic_episode(2)
-    br = incremental_objective(MethodKind.EIML, old, student, task,
-                               eiml_aux(old, task, ep), 1.0, 2.0)
+    br = incremental_objective(MethodKind.EIML, student, task, 1.0, 2.0,
+                               **eiml_inputs(old, task, ep))
     direct = ida_kl(*embeddings(old, student, task.inputs),
                     old.anchors.restrict(ep.class_map), 2.0)
-    assert float(br.align_new) == float(direct)
+    assert float(br.terms["align_new"][1]) == float(direct)
 
 
 def test_eiml_gradients():
@@ -232,9 +231,9 @@ def test_eiml_gradients():
 def test_objective_ft_is_pure_meta():
     ep = synthetic_episode()
     params = init_backbone(BackboneConfig(5, (8,), 4), 0)
-    br = incremental_objective(MethodKind.FT, None, params, ep, AlignAux(), 1.0, 2.0)
+    br = incremental_objective(MethodKind.FT, params, ep, 1.0, 2.0)
     assert br.total is br.meta_ce
-    assert float(br.align) == 0.0
+    assert br.terms == {}
     want = float(meta_xent_loss(params, ep, 2.0)[0])
     assert float(br.total) == want
 
@@ -243,7 +242,7 @@ def test_objective_nu_and_par_same_shape():
     ep = synthetic_episode()
     params = init_backbone(BackboneConfig(5, (8,), 4), 0)
     for m in (MethodKind.NU, MethodKind.PAR):
-        br = incremental_objective(m, None, params, ep, AlignAux(), 1.0, 2.0)
+        br = incremental_objective(m, params, ep, 1.0, 2.0)
         assert br.total is br.meta_ce
         assert br.method == m
 
@@ -256,69 +255,74 @@ def teacher_rows(old, ep):
 def test_objective_ida_lambda_zero_short_circuits():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 2)
-    aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, ep))
-    br = incremental_objective(MethodKind.IDA, old, student, ep, aux, 0.0, 2.0)
+    br = incremental_objective(MethodKind.IDA, student, ep, 0.0, 2.0, anchors=old.anchors,
+                               teacher_z=teacher_rows(old, ep))
     assert br.total is br.meta_ce
-    assert br.lam == 0.0
+    assert br.terms == {}
 
 
 def test_objective_ida_composition():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 3)
-    aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, ep))
-    br = incremental_objective(MethodKind.IDA, old, student, ep, aux, 2.0, 2.0)
+    br = incremental_objective(MethodKind.IDA, student, ep, 2.0, 2.0, anchors=old.anchors,
+                               teacher_z=teacher_rows(old, ep))
     meta = float(meta_xent_loss(student, ep, 2.0)[0])
     align = float(ida_kl(*embeddings(old, student, ep.inputs), old.anchors, 2.0))
     assert abs(float(br.total) - (meta + 2.0 * align)) < 1e-12
-    assert float(br.align) == align
+    assert list(br.terms) == ["align"]
+    weight, value = br.terms["align"]
+    assert weight == 2.0 and float(value) == align
 
 
 def test_objective_ida_requires_anchors():
     old, ep, _, cfg = eiml_fixture()
-    with pytest.raises(ValueError, match="anchor"):
-        incremental_objective(MethodKind.IDA, old, init_backbone(cfg, 5), ep,
-                              AlignAux(teacher_z=teacher_rows(old, ep)), 1.0, 2.0)
+    with pytest.raises(ValueError, match="ida needs anchors$"):
+        incremental_objective(MethodKind.IDA, init_backbone(cfg, 5), ep, 1.0, 2.0,
+                              teacher_z=teacher_rows(old, ep))
 
 
 def test_objective_dfa_composition():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 6)
-    br = incremental_objective(MethodKind.DFA, old, student, ep,
-                               AlignAux(teacher_z=teacher_rows(old, ep)), 0.5, 2.0)
+    br = incremental_objective(MethodKind.DFA, student, ep, 0.5, 2.0,
+                               teacher_z=teacher_rows(old, ep))
     meta = float(meta_xent_loss(student, ep, 2.0)[0])
     align = float(feature_drift(*embeddings(old, student, ep.inputs)))
     assert abs(float(br.total) - (meta + 0.5 * align)) < 1e-12
-    assert float(br.align) == align
+    weight, value = br.terms["align"]
+    assert weight == 0.5 and float(value) == align
 
 
-def eiml_aux(old, task, ex):
-    return AlignAux(exemplar_episode=ex, teacher_z=teacher_rows(old, task),
-                    exemplar_teacher_z=teacher_rows(old, ex))
+def eiml_inputs(old, task, ex):
+    """EIML's teacher-side inputs as the trainer passes them: `ex`'s classes' anchors."""
+    return dict(teacher_z=teacher_rows(old, task), anchors=old.anchors.restrict(ex.class_map),
+                exemplar_episode=ex, exemplar_teacher_z=teacher_rows(old, ex))
 
 
 def test_objective_eiml_composition_and_defaults():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 7)
     task = synthetic_episode(2)
-    br = incremental_objective(MethodKind.EIML, old, student, task,
-                               eiml_aux(old, task, ep), 1.5, 2.0)
+    br = incremental_objective(MethodKind.EIML, student, task, 1.5, 2.0,
+                               **eiml_inputs(old, task, ep))
     # lam_old and lam_new default to lam
-    assert br.lam_old == 1.5 and br.lam_new == 1.5
+    assert list(br.terms) == ["align_old", "align_new"]
+    assert [w for w, _ in br.terms.values()] == [1.5, 1.5]
     a_old, a_new = eiml_terms(old, student, ep, task.inputs)
     meta = float(meta_xent_loss(student, task, 2.0)[0])
     want = meta + 1.5 * float(a_old) + 1.5 * float(a_new)
     assert abs(float(br.total) - want) < 1e-12
-    assert br.align_old is not None and br.align_new is not None
-    assert float(br.align_old) == float(a_old)
-    assert float(br.align_new) == float(a_new)
+    assert float(br.terms["align_old"][1]) == float(a_old)
+    assert float(br.terms["align_new"][1]) == float(a_new)
 
 
 def test_objective_eiml_split_weights():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 8)
     task = synthetic_episode(2)
-    br = incremental_objective(MethodKind.EIML, old, student, task,
-                               eiml_aux(old, task, ep), 1.0, 2.0, lam_old=0.25, lam_new=3.0)
+    br = incremental_objective(MethodKind.EIML, student, task, 1.0, 2.0, lam_old=0.25,
+                               lam_new=3.0, **eiml_inputs(old, task, ep))
+    assert [w for w, _ in br.terms.values()] == [0.25, 3.0]
     a_old, a_new = eiml_terms(old, student, ep, task.inputs)
     meta = float(meta_xent_loss(student, task, 2.0)[0])
     want = meta + 0.25 * float(a_old) + 3.0 * float(a_new)
@@ -327,30 +331,30 @@ def test_objective_eiml_split_weights():
 
 def test_objective_eiml_requires_exemplar_episode():
     old, ep, _, cfg = eiml_fixture()
-    with pytest.raises(ValueError, match="exemplar"):
-        incremental_objective(MethodKind.EIML, old, init_backbone(cfg, 9), ep,
-                              AlignAux(teacher_z=teacher_rows(old, ep)), 1.0, 2.0)
+    with pytest.raises(ValueError, match="eiml needs anchors, exemplar_episode, exemplar_teacher_z"):
+        incremental_objective(MethodKind.EIML, init_backbone(cfg, 9), ep, 1.0, 2.0,
+                              teacher_z=teacher_rows(old, ep))
 
 
 def test_objective_aligning_steps_require_teacher_rows():
-    """A nonzero weight without the teacher's rows raises; a zero weight never reads them."""
+    """A nonzero weight without a teacher input its method reads raises one error naming
+    every missing input; a zero weight never reads them."""
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 13)
     task = synthetic_episode(2)
-    missing = {
-        MethodKind.IDA: [AlignAux(anchors=old.anchors)],
-        MethodKind.DFA: [AlignAux()],
-        MethodKind.EIML: [AlignAux(exemplar_episode=ep),
-                          AlignAux(exemplar_episode=ep, teacher_z=teacher_rows(old, task)),
-                          AlignAux(exemplar_episode=ep, exemplar_teacher_z=teacher_rows(old, ep))],
+    inputs = {
+        MethodKind.DFA: dict(teacher_z=teacher_rows(old, task)),
+        MethodKind.IDA: dict(teacher_z=teacher_rows(old, task), anchors=old.anchors),
+        MethodKind.EIML: eiml_inputs(old, task, ep),
     }
-    for method, auxes in missing.items():
-        for aux in auxes:
-            with pytest.raises(ValueError, match="teacher_z"):
-                incremental_objective(method, old, student, task, aux, 1.0, 2.0)
-            br = incremental_objective(method, old, student, task, aux, 0.0, 2.0)
+    for method, full in inputs.items():
+        for drop in [[name] for name in full] + [list(full)]:
+            given = {k: v for k, v in full.items() if k not in drop}
+            with pytest.raises(ValueError, match=f"^{method.value} needs {', '.join(drop)}$"):
+                incremental_objective(method, student, task, 1.0, 2.0, **given)
+            br = incremental_objective(method, student, task, 0.0, 2.0, **given)
             assert br.total is br.meta_ce, method
-    br = incremental_objective(MethodKind.EIML, old, student, task, AlignAux(), 1.0, 2.0,
+    br = incremental_objective(MethodKind.EIML, student, task, 1.0, 2.0,
                                lam_old=0.0, lam_new=0.0)
     assert br.total is br.meta_ce
 
@@ -359,8 +363,8 @@ def test_objective_eiml_both_zero_short_circuits():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 9)
     task = synthetic_episode(2)
-    br = incremental_objective(MethodKind.EIML, old, student, task,
-                               eiml_aux(old, task, ep), 0.0, 2.0)
+    br = incremental_objective(MethodKind.EIML, student, task, 0.0, 2.0,
+                               **eiml_inputs(old, task, ep))
     assert br.total is br.meta_ce
 
 
@@ -373,15 +377,12 @@ def test_objective_student_embeds_once_per_episode():
     for method, calls in want.items():
         tape = ad.Tape()
         bound = student.bind(tape)
-        aux = eiml_aux(old, task, ep)
-        if method is MethodKind.IDA:
-            aux = AlignAux(anchors=old.anchors, teacher_z=teacher_rows(old, task))
-        incremental_objective(method, old, bound, task, aux, 1.0, 2.0)
+        incremental_objective(method, bound, task, 1.0, 2.0, **eiml_inputs(old, task, ep))
         assert sum(n.op == "mlp" for n in tape.nodes) == calls, method
 
 
 def test_objective_accepts_method_strings():
     ep = synthetic_episode()
     params = init_backbone(BackboneConfig(5, (8,), 4), 0)
-    br = incremental_objective("ft", None, params, ep, AlignAux(), 1.0, 2.0)
+    br = incremental_objective("ft", params, ep, 1.0, 2.0)
     assert br.method == MethodKind.FT

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from iml.data import (
     Dataset,
     EpisodeSpec,
     SyntheticSpec,
+    concat_datasets,
     gen_synthetic,
     reserve_exemplars,
     uniform_offset,
@@ -468,13 +470,13 @@ def test_epoch_log_failed_rename_keeps_previous_log(tmp_path, monkeypatch):
 
 
 def spy_objective(monkeypatch):
-    """Record (episode, aux) of every training step's objective call."""
+    """Record (episode, teacher-side keyword inputs) of every training step's objective call."""
     calls = []
     real = iml.trainer.incremental_objective
 
-    def spy(method, old, params, episode, aux, *args, **kwargs):
-        calls.append((episode, aux))
-        return real(method, old, params, episode, aux, *args, **kwargs)
+    def spy(method, params, episode, *args, **kwargs):
+        calls.append((episode, kwargs))
+        return real(method, params, episode, *args, **kwargs)
 
     monkeypatch.setattr(iml.trainer, "incremental_objective", spy)
     return calls
@@ -484,18 +486,39 @@ def test_gathered_teacher_rows_equal_teacher_embedding(monkeypatch):
     old_tr, old_va, new_tr, new_va = domain_data()
     base = train_base(old_tr, old_va, small_cfg())
     ex = reserve_exemplars(old_tr, 6, np.random.default_rng(0))
-    for method in (MethodKind.DFA, MethodKind.IDA, MethodKind.EIML):
+    inputs = {MethodKind.DFA: {"teacher_z"}, MethodKind.IDA: {"teacher_z", "anchors"},
+              MethodKind.EIML: {"teacher_z", "anchors", "exemplar_episode", "exemplar_teacher_z"}}
+    for method, names in inputs.items():
         calls = spy_objective(monkeypatch)
         train_incremental(base, new_tr, new_va, method, small_cfg(), exemplars=ex)
         assert len(calls) == small_cfg().epochs * small_cfg().tasks_per_epoch
-        for ep, aux in calls:
+        for ep, given in calls:
+            assert given.keys() == names, method
             want = embed(base.params, ep.inputs).data
-            assert np.array_equal(aux.teacher_z, want), method
+            assert np.array_equal(given["teacher_z"], want), method
             if method is MethodKind.EIML:
-                want = embed(base.params, aux.exemplar_episode.inputs).data
-                assert np.array_equal(aux.exemplar_teacher_z, want)
-            else:
-                assert aux.exemplar_teacher_z is None
+                ex_ep, anchors = given["exemplar_episode"], given["anchors"]
+                want = embed(base.params, ex_ep.inputs).data
+                assert np.array_equal(given["exemplar_teacher_z"], want)
+                # align_new reads the stored anchors of the exemplar episode's classes only
+                assert anchors.class_ids == ex_ep.class_map
+                rows = [base.anchors.class_ids.index(c) for c in ex_ep.class_map]
+                assert np.array_equal(anchors.centers, base.anchors.centers[rows])
+
+
+def test_eiml_rejects_unanchored_exemplars_before_logging(tmp_path):
+    """Exemplars of classes the teacher stores no anchors for fail before the log is cut."""
+    old_tr, old_va, new_tr, new_va = domain_data()
+    base = train_base(old_tr, old_va, small_cfg())
+    log = tmp_path / "incr.csv"
+    log.write_bytes(b"previous run\n")
+    rng = np.random.default_rng(0)
+    mixed = concat_datasets(reserve_exemplars(old_tr, 6, rng),
+                            reserve_exemplars(new_va.subset_classes([7, 9]), 6, rng), "exemplars")
+    with pytest.raises(ValueError, match=re.escape("classes [7, 9] have no stored anchors")):
+        train_incremental(base, new_tr, new_va, MethodKind.EIML,
+                          small_cfg(log_path=str(log)), exemplars=mixed)
+    assert log.read_bytes() == b"previous run\n"
 
 
 def test_teacher_embedded_once_per_round_per_table(monkeypatch):
