@@ -399,10 +399,12 @@ def _write_report(out: Path, lines: list[str]) -> int:
 
 
 def _names(flag: str, text: str, known: list[str]) -> list[str]:
-    """The comma list given to ``flag``: at least one name, each in ``known``."""
+    """The comma list given to ``flag``: at least one name, each in ``known``, none twice."""
     names = [n for n in text.split(",") if n]
     if not names or any(n not in known for n in names):
         raise ConfigError(f"{flag} takes a comma list from {','.join(known)}, got {text!r}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{flag} names each entry at most once, got {text!r}")
     return names
 
 
@@ -479,6 +481,8 @@ def cmd_train_paragon(args, rc: RunConfig) -> int:
 
 def cmd_eval(args, rc: RunConfig) -> int:
     splits = _names("--splits", args.splits, SPLIT_ORDER)
+    if args.label and {os.sep, os.altsep, "/"} & set(args.label):
+        raise ConfigError(f"--label names a report file, so no path separator: {args.label!r}")
     rp = _prepare(rc)
     if args.snapshot:
         snap = load_snapshot(Path(args.snapshot))
@@ -556,10 +560,9 @@ def cmd_sweep_exemplars(args, rc: RunConfig) -> int:
 
 
 def cmd_cross_way_shot(args, rc: RunConfig) -> int:
+    methods = None if args.methods is None else _names("--methods", args.methods, METHOD_ORDER)
     rp = _prepare(rc)
-    if args.methods is not None:
-        methods = _names("--methods", args.methods, METHOD_ORDER)
-    else:
+    if methods is None:
         methods = [m for m in METHOD_ORDER if _snapshot_path(rp, m).exists()]
         if not methods:
             raise FileNotFoundError(f"no snapshots under {rp.snapshots}; train first")

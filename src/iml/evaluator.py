@@ -6,10 +6,12 @@ and re-running with the same snapshot and seed is bit-identical.  The
 episodes depend on the table, shape, count and seed alone, never on the
 snapshot: they are drawn once per table (`data.eval_episode_rows`) and
 every snapshot scored on that table meets the same ones, so comparisons
-between methods are paired.  Scoring needs only each query's nearest class
-mean, which `model.nearest_prototypes` finds from a GEMM and certifies
-against the exact difference kernel, so every accuracy is bitwise the one
-that kernel gives an episode at a time.
+between methods are paired.  Scoring needs only whether each query's
+nearest class mean is its own class's.  `model.nearest_prototypes` decides
+that from GEMM distances: where a rounding bound leaves exactly one class
+nearest, the true class's distance alone settles the hit; any other
+episode goes to the exact difference kernel.  So every accuracy is bitwise
+the one that kernel gives an episode at a time.
 """
 from __future__ import annotations
 

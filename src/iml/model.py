@@ -206,40 +206,54 @@ def score_episode(params: ParamStore, episode) -> float:
     return nearest_prototype_accuracy(d, episode.query_y)
 
 
-def nearest_prototypes(support: Array, queries: Array) -> Array:
-    """``prototype_distances(support, queries).argmin(axis=2)``, from a GEMM.
+def nearest_prototypes(support: Array, queries: Array, query_norms: Array, labels: Array) -> Array:
+    """Whether each query's nearest class mean is at its label, from a GEMM.
 
     ``support`` is (E, K, S, F) and ``queries`` (E, Q, F), as for
-    `autodiff.prototype_distances`; the result is (E, Q) class indices.  The
-    class means are that kernel's, bitwise, and d = |q|^2 - 2 q.c + |c|^2
-    comes from one batched matmul.  With n = F + 3, u the unit roundoff and
-    g = n u / (1 - n u), each d lies within b = 2 g (|q| + max_k |c_k|)^2
-    (plus n times the smallest normal, for underflow) of the exact kernel's
-    float output.  A query whose only class with d <= min d + 2b is its
-    argmin therefore has that exact argmin, with no tie.  Every other query
-    is decided by the exact kernel, called on its episode alone.  That
-    covers non-finite values: a nan in a query's distances lets no class
-    pass, and an inf in its rows or its episode's means makes b infinite,
-    so that every class passes.
+    `autodiff.prototype_distances`; ``query_norms`` (E, Q) holds each
+    query's ||q|| and ``labels`` (Q,) its class.  The result is the (E, Q)
+    hits ``prototype_distances(support, queries).argmin(axis=2) == labels``.
+
+    The class means c_k are that kernel's, bitwise.  One batched matmul
+    gives d_k = (-2 c_k).q + |c_k|^2, which is |q - c_k|^2 - |q|^2 up to
+    rounding.  Let u be the unit roundoff, g_m = m u / (1 - m u) and
+    R = |q| + max_k |c_k|.  The exact kernel's float output e_k lies within
+    g_{F+2} R^2 of the real |q - c_k|^2, and the real sum d_k + |q|^2 within
+    g_{F+1} R^2 of it.  |q|^2 is the same real number for every class of a
+    query, so it cancels from e_k - e_j: d_k - d_j > 2b, with
+    b = 2 g_{F+3} R^2, gives e_k > e_j.  So |q|^2 may leave d, but |q| may
+    not leave b, as both kernels' errors grow with it.  A query whose band
+    d <= min d + 2b holds exactly one class is certified: that class is the
+    exact kernel's unique argmin, and the query is a hit when its label's d
+    is in the band.  b spends one g step more than the two kernels need.
+    That step pays for rounding the band's top, and for the norms that size
+    b: |c_k|^2 here and the caller's ||q|| are sums of squares in any order
+    (`score_episodes` takes ||q|| from one pass over its whole embedded
+    table), so each is within g_F of its real value, which shrinks b by a
+    factor of about 1 - (F + 6) u, inside the spare step for F below about
+    1e7.  b also adds F + 3 times the smallest normal, for underflow.  Every
+    episode with an uncertain query is decided by the exact kernel, called
+    on that episode alone.  That covers non-finite values: a nan in a
+    query's d or b lets no class into its band, and an inf in its row or
+    its episode's means makes b infinite, so that every class enters.
     """
     protos = np.add.reduce(support, axis=2) / support.shape[2]
+    e, k, q = protos.shape[0], protos.shape[1], queries.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fall back
-        qq = np.einsum("eqf,eqf->eq", queries, queries)
         cc = np.einsum("ekf,ekf->ek", protos, protos)
-        d = np.matmul(protos, queries.transpose(0, 2, 1))  # (E, K, Q)
-        d *= -2.0
-        d += qq[:, None, :]
+        d = np.matmul(protos * -2.0, queries.transpose(0, 2, 1))  # (E, K, Q)
         d += cc[:, :, None]
         fi = np.finfo(d.dtype)
         n = queries.shape[2] + 3
         g = n * (fi.eps / 2) / (1 - n * (fi.eps / 2))
-        reach = np.sqrt(qq) + np.sqrt(cc.max(axis=1))[:, None]
+        reach = query_norms + np.sqrt(cc.max(axis=1))[:, None]
         top = d.min(axis=1) + 2 * (2 * g * reach * reach + n * fi.tiny)
-        below = d <= top[:, None, :]
-    nearest = below.argmax(axis=1)
-    for i in np.flatnonzero((below.sum(axis=1) != 1).any(axis=1)):
-        nearest[i] = ad.prototype_distances(support[i:i + 1], queries[i:i + 1])[0].argmin(axis=1)
-    return nearest
+        band = np.add.reduce(d <= top[:, None, :], axis=1, dtype=np.min_scalar_type(k))
+        hits = np.take(d.reshape(e, k * q), labels * q + np.arange(q), axis=1) <= top
+    for i in np.flatnonzero((band != 1).any(axis=1)):
+        exact = ad.prototype_distances(support[i:i + 1], queries[i:i + 1])[0]
+        hits[i] = exact.argmin(axis=1) == labels
+    return hits
 
 
 def score_episodes(
@@ -265,13 +279,17 @@ def score_episodes(
     held = ways * need * f + 2 * q * ways if temperature is None else q * ways * f
     per_chunk = max(1, SCORE_CHUNK_BYTES // (z.itemsize * held))
     query_y = np.repeat(np.arange(ways), need - shots)
+    if temperature is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fall back
+            norms = np.sqrt(np.einsum("nf,nf->n", z, z))
 
     def chunk(lo: int) -> tuple[Array, Array | None]:
         part = picks[lo:lo + per_chunk]
         e = part.shape[0]
         support, queries = z[part[:, :, :shots]], z[part[:, :, shots:]].reshape(e, -1, f)
         if temperature is None:
-            return (nearest_prototypes(support, queries) == query_y).mean(axis=1), None
+            query_norms = norms[part[:, :, shots:]].reshape(e, -1)
+            return nearest_prototypes(support, queries, query_norms, query_y).mean(axis=1), None
         d = ad.prototype_distances(support, queries)
         accs = (d.argmin(axis=2) == query_y).mean(axis=1)
         rows = ad.proto_xent_rows(d.reshape(-1, ways), np.tile(query_y, e), temperature)

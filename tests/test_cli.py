@@ -349,6 +349,44 @@ def test_eval_rejects_unknown_split(tiny_cfg, tmp_path, capsys):
     assert not list((Path(out) / "reports").glob("*.csv"))
 
 
+def no_snapshot_loads(monkeypatch):
+    """Fail the test if the command under test reads any snapshot."""
+    def refuse(path):
+        raise AssertionError(f"loaded {path} before rejecting the arguments")
+
+    monkeypatch.setattr(iml.cli, "load_snapshot", refuse)
+
+
+def test_eval_rejects_repeated_splits(tiny_cfg, tmp_path, capsys, monkeypatch):
+    no_snapshot_loads(monkeypatch)
+    out = tmp_path / "run"
+    code = cmd_dispatch(["eval", "--method", "nu", "--splits", "old,new,old",
+                         "-c", tiny_cfg, "--out", str(out)])
+    assert code == 1
+    assert "--splits names each entry at most once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cross_way_shot_rejects_repeated_methods(tiny_cfg, tmp_path, capsys, monkeypatch):
+    no_snapshot_loads(monkeypatch)
+    out = tmp_path / "run"
+    code = cmd_dispatch(["cross-way-shot", "--methods", "ft,ft", "-c", tiny_cfg,
+                         "--out", str(out)])
+    assert code == 1
+    assert "--methods names each entry at most once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_label_with_path_separator(tiny_cfg, tmp_path, capsys, monkeypatch):
+    no_snapshot_loads(monkeypatch)
+    out = tmp_path / "run"
+    code = cmd_dispatch(["eval", "--snapshot", str(tmp_path / "x.imlsnap"), "--label", "a/b",
+                         "-c", tiny_cfg, "--out", str(out)])
+    assert code == 1
+    assert "--label names a report file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rounds_needs_enough_classes(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", out]) == 0

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import iml.autodiff
 import iml.data
 import iml.evaluator
 import iml.model
@@ -186,9 +187,9 @@ def test_evaluate_matches_oracle_across_chunks(monkeypatch, ways, shots, n, per_
     chunks = []
     real = iml.model.nearest_prototypes
 
-    def spy(support, queries):
+    def spy(support, queries, query_norms, labels):
         chunks.append(support.shape[0])
-        return real(support, queries)
+        return real(support, queries, query_norms, labels)
 
     monkeypatch.setattr(iml.model, "nearest_prototypes", spy)
     accs = [score_episode(snap.params, sample_episode(ds, spec, np.random.default_rng([3, i])))
@@ -199,6 +200,32 @@ def test_evaluate_matches_oracle_across_chunks(monkeypatch, ways, shots, n, per_
     assert rep.mean_acc == mean and rep.ci95 == half
     assert 0.0 < half
     assert evaluate(snap, ds, spec, n, 3, workers=2) == rep
+
+
+@pytest.mark.parametrize("ways", [10, 20])
+def test_evaluate_far_from_the_origin_matches_exact_oracle(monkeypatch, ways):
+    """A table at offset 1e3 and spread 1e-2, where |q|^2 dominates every distance:
+    each accuracy is bitwise the exact kernel's, and the GEMM certifies episodes."""
+    ds, spec, n = grid_data(), EpisodeSpec(ways, 5, 15), 30
+    rng = np.random.default_rng(ways)
+    centres = rng.standard_normal((ds.n_classes, 16))
+    z = 1e3 * rng.standard_normal(16) + 1e-2 * (
+        centres[ds.labels] + 1.5 * rng.standard_normal((len(ds), 16)))
+    picks = iml.data.eval_episode_rows(ds, spec, n, 6)
+    query_y = np.repeat(np.arange(ways), 15)
+    accs = []
+    for p in picks:
+        support, queries = z[p[None, :, :5]], z[p[None, :, 5:]].reshape(1, -1, 16)
+        d = iml.autodiff.prototype_distances(support, queries)[0]
+        accs.append(float((d.argmin(axis=1) == query_y).mean()))
+    calls = []
+    real = iml.autodiff.prototype_distances
+    monkeypatch.setattr(iml.autodiff, "prototype_distances",
+                        lambda s, q: calls.append(s.shape[0]) or real(s, q))
+    rep = evaluate(wide_snapshot(), ds, spec, n, 6, z=z)
+    assert (rep.mean_acc, rep.ci95) == confidence_interval(accs)
+    assert 0.5 < rep.mean_acc < 1.0  # neither trivial nor chance
+    assert len(calls) < n  # most episodes are certified, not rescored
 
 
 def test_evaluate_peak_memory_is_one_chunk():

@@ -163,6 +163,22 @@ def spy_exact_calls(monkeypatch):
     return calls
 
 
+def check_every_label(monkeypatch, support, queries):
+    """`nearest_prototypes` with every query labelled k, for each k < K, against the
+    exact argmin; since a hit at every label pins the argmin, this checks it exactly.
+    Returns the exact-kernel calls each label's check made."""
+    want = exact_nearest(support, queries)
+    norms = np.sqrt(np.einsum("eqf,eqf->eq", queries, queries))
+    calls_per_label = []
+    for k in range(support.shape[1]):
+        calls = spy_exact_calls(monkeypatch)
+        hits = nearest_prototypes(support, queries, norms, np.full(queries.shape[1], k))
+        monkeypatch.undo()
+        assert np.array_equal(hits, want == k), k
+        calls_per_label.append(calls)
+    return want, calls_per_label
+
+
 @pytest.mark.parametrize("ways", [2, 5, 20])
 def test_nearest_prototypes_is_exact_argmin_at_every_scale(monkeypatch, ways):
     """Spread and offset from 1e-3 to 1e3, near and far queries alike."""
@@ -172,12 +188,9 @@ def test_nearest_prototypes_is_exact_argmin_at_every_scale(monkeypatch, ways):
             centre = offset * rng.standard_normal(16)
             support = centre + spread * rng.standard_normal((4, ways, 3, 16))
             queries = centre + spread * rng.standard_normal((4, 15 * ways, 16))
-            want = exact_nearest(support, queries)
-            calls = spy_exact_calls(monkeypatch)
-            assert np.array_equal(nearest_prototypes(support, queries), want)
-            monkeypatch.undo()
+            _, calls = check_every_label(monkeypatch, support, queries)
             if offset <= spread:  # no cancellation: every query is certified
-                assert calls == []
+                assert calls == [[]] * ways
 
 
 def test_nearest_prototypes_duplicate_classes_tie_to_lowest_index(monkeypatch):
@@ -185,11 +198,9 @@ def test_nearest_prototypes_duplicate_classes_tie_to_lowest_index(monkeypatch):
     support = rng.standard_normal((3, 5, 4, 16))
     support[:, 3] = support[:, 1]  # classes 1 and 3 share every support row
     queries = support[:, 1].mean(axis=1)[:, None] + 1e-3 * rng.standard_normal((3, 40, 16))
-    want = exact_nearest(support, queries)
+    want, calls = check_every_label(monkeypatch, support, queries)
     assert (want == 1).all()
-    calls = spy_exact_calls(monkeypatch)
-    assert np.array_equal(nearest_prototypes(support, queries), want)
-    assert calls == [1, 1, 1]  # each tied episode took the exact kernel
+    assert calls == [[1, 1, 1]] * 5  # each tied episode took the exact kernel
 
 
 def test_nearest_prototypes_one_ulp_from_a_tie(monkeypatch):
@@ -199,12 +210,9 @@ def test_nearest_prototypes_one_ulp_from_a_tie(monkeypatch):
     queries = np.zeros((3, 1, 16))
     queries[:, 0, 0] = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
     for scale in (2.0 ** -20, 1.0, 2.0 ** 20):  # powers of two keep the tie exact
-        want = exact_nearest(scale * support, scale * queries)
+        want, calls = check_every_label(monkeypatch, scale * support, scale * queries)
         assert want.tolist() == [[0], [0], [1]]
-        calls = spy_exact_calls(monkeypatch)
-        assert np.array_equal(nearest_prototypes(scale * support, scale * queries), want)
-        assert calls == [1, 1, 1]  # near ties are within the bound, not only exact ones
-        monkeypatch.undo()
+        assert calls == [[1, 1, 1]] * 2  # near ties are within the bound, not only exact ones
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf means
@@ -217,10 +225,8 @@ def test_nearest_prototypes_non_finite_rows_take_the_exact_kernel(monkeypatch):
     support[3, 2, 0, 5] = np.inf
     support[4, 0, 0, 1], support[4, 0, 1, 1] = np.inf, -np.inf  # a nan mean
     queries[5, 0, 0] = np.inf
-    want = exact_nearest(support, queries)
-    calls = spy_exact_calls(monkeypatch)
-    assert np.array_equal(nearest_prototypes(support, queries), want)
-    assert calls == [1] * 5  # every episode but the clean first one
+    _, calls = check_every_label(monkeypatch, support, queries)
+    assert calls == [[1] * 5] * 5  # every episode but the clean first one
 
 
 def test_anchor_set_basics():
