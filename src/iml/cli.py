@@ -481,6 +481,10 @@ def cmd_train_paragon(args, rc: RunConfig) -> int:
 
 def cmd_eval(args, rc: RunConfig) -> int:
     splits = _names("--splits", args.splits, SPLIT_ORDER)
+    if args.label is not None and args.snapshot is None:
+        raise ConfigError(
+            "--label names a --snapshot report; a --method report is named after its method"
+        )
     if args.label and {os.sep, os.altsep, "/"} & set(args.label):
         raise ConfigError(f"--label names a report file, so no path separator: {args.label!r}")
     rp = _prepare(rc)

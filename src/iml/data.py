@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,47 +208,86 @@ def write_text_atomic(path, text: str) -> None:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write `label,f0,f1,...` rows; float repr so a round trip is bit-exact."""
     lines = ["label," + ",".join(f"f{i}" for i in range(dataset.dim))]
-    for row, lab in zip(dataset.features, dataset.labels):
-        lines.append(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row))
+    lines += [
+        f"{lab}," + ",".join(map(repr, row))
+        for lab, row in zip(dataset.labels.tolist(), dataset.features.tolist())
+    ]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path, split_name: str | None = None) -> Dataset:
+    """Read a `label,f0,f1,...` table: a decimal-integer label, then finite floats.
+
+    The header's first field is exactly `label`.  Whitespace-only lines are
+    skipped; there are no comments and no quotes.  numpy's C reader parses
+    every row in one call.  Only when it rejects the table does `_row_error`
+    go through the rows one by one, to name the first bad line.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
         raise DatasetFormatError(f"{path}: {e}") from e
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("label"):
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else [""]
+    if header[0] != "label":
         raise DatasetFormatError(f"{path}: line 1: expected a 'label,f0,...' header")
-    width = len(lines[0].split(","))
+    width = len(header)
     if width < 2:
         raise DatasetFormatError(f"{path}: line 1: header has no feature columns")
-    features, labels, line_nos = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise DatasetFormatError(
-                f"{path}: line {no}: expected {width} fields, found {len(parts)}"
-            )
-        try:
-            labels.append(int(parts[0]))
-            features.append([float(v) for v in parts[1:]])
-        except ValueError as e:
-            raise DatasetFormatError(f"{path}: line {no}: {e}") from e
-        line_nos.append(no)
-    if not features:
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    features = np.asarray(features)
+    dtype = np.dtype([("label", np.int64), ("features", np.float64, (width - 1,))])
+    try:
+        with warnings.catch_warnings():
+            # numpy from 1.23 until that deprecation expired parses an integer
+            # field through float with a DeprecationWarning; raised as an
+            # error, it keeps `3.0` a bad label.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as e:
+        raise _row_error(path, lines, width) or DatasetFormatError(f"{path}: {e}") from e
+    features = table["features"].copy()
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        raise DatasetFormatError(
-            f"{path}: line {line_nos[bad[0]]}: non-finite feature value"
-        )
-    return Dataset(features, np.asarray(labels), split_name or path.stem)
+        no = list(_numbered_rows(lines))[bad[0]][0]
+        raise DatasetFormatError(f"{path}: line {no}: non-finite feature value")
+    return Dataset(features, table["label"].copy(), split_name or path.stem)
+
+
+# The field grammar of numpy's reader: ASCII digits, no underscores.
+_LABEL = re.compile(r"[+-]?[0-9]+")
+_FEATURE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)", re.I
+)
+
+
+def _numbered_rows(lines):
+    """(file line number, line) of every non-blank line after the header."""
+    return ((no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip())
+
+
+def _row_error(path: Path, lines, width: int) -> DatasetFormatError | None:
+    """Name the first row numpy's reader rejects, by the checks it makes.
+
+    A row has `width` fields.  Its label is a signed decimal inside int64
+    and its features match `_FEATURE`; any field may be padded with
+    whitespace.
+    """
+    for no, line in _numbered_rows(lines):
+        parts = line.split(",")
+        if len(parts) != width:
+            return DatasetFormatError(
+                f"{path}: line {no}: expected {width} fields, found {len(parts)}"
+            )
+        label = parts[0].strip()
+        if not (_LABEL.fullmatch(label) and -2**63 <= int(label) < 2**63):
+            return DatasetFormatError(f"{path}: line {no}: bad label {parts[0]!r}")
+        for v in parts[1:]:
+            if not _FEATURE.fullmatch(v.strip()):
+                return DatasetFormatError(f"{path}: line {no}: bad feature value {v!r}")
+    return None
 
 
 def draw_episode_rows(

@@ -387,6 +387,16 @@ def test_eval_rejects_label_with_path_separator(tiny_cfg, tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_eval_rejects_label_with_method(tiny_cfg, tmp_path, capsys, monkeypatch):
+    no_snapshot_loads(monkeypatch)
+    out = tmp_path / "run"
+    code = cmd_dispatch(["eval", "--method", "nu", "--label", "teacher",
+                         "-c", tiny_cfg, "--out", str(out)])
+    assert code == 1
+    assert "--label names a --snapshot report" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rounds_needs_enough_classes(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", out]) == 0

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,14 +188,95 @@ def test_load_errors_name_the_line(tmp_path):
         p.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{bad}\n")
         with pytest.raises(DatasetFormatError, match="line 4: non-finite"):
             load_dataset(p, "x")
-    p.write_text("nope,f0\n0,1.0\n")
-    with pytest.raises(DatasetFormatError, match="line 1"):
-        load_dataset(p, "x")
+    for header in ("nope,f0", "labels,f0", "label_id,f0", " label,f0"):
+        p.write_text(f"{header}\n0,1.0\n")
+        with pytest.raises(DatasetFormatError, match="line 1"):
+            load_dataset(p, "x")
     p.write_text("label,f0\n")
     with pytest.raises(DatasetFormatError, match="no data rows"):
         load_dataset(p, "x")
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "missing.csv", "x")
+
+
+TINY = Path(__file__).parent / "data" / "tiny.csv"
+
+
+def test_golden_csv_round_trips_byte_for_byte(tmp_path):
+    # written by the per-value float-repr writer; a later writer must keep its bytes
+    ds = load_dataset(TINY)
+    assert ds.features.shape == (12, 3) and ds.classes == (0, 1, 2)
+    assert math.copysign(1.0, ds.features[0, 0]) == -1.0  # -0.0 keeps its sign
+    assert ds.features[0, 1] == 5e-324
+    save_dataset(ds, tmp_path / "tiny.csv")
+    assert (tmp_path / "tiny.csv").read_bytes() == TINY.read_bytes()
+
+
+def test_csv_round_trip_random_doubles_bitwise(tmp_path):
+    rng = np.random.default_rng(5)
+    mant = rng.uniform(1.0, 10.0, 10_000) * rng.choice([-1.0, 1.0], 10_000)
+    feats = (mant * 10.0 ** rng.integers(-300, 301, 10_000)).reshape(2_000, 5)
+    ds = Dataset(feats, rng.integers(-5, 5, 2_000))
+    save_dataset(ds, tmp_path / "r.csv")
+    back = load_dataset(tmp_path / "r.csv")
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_loaded_arrays_are_contiguous_copies():
+    ds = load_dataset(TINY)
+    for a, dtype in ((ds.features, np.float64), (ds.labels, np.int64)):
+        assert a.dtype == dtype and a.flags.c_contiguous and a.base is None
+
+
+@pytest.mark.parametrize("body, no, what", [
+    ("0,1.0,2.0\n1,3.0\n", 3, "expected 3 fields, found 2"),  # short row
+    ("0,1.0,2.0,4.0\n", 2, "expected 3 fields, found 4"),  # long row
+    ("0,1.0,2.0,\n", 2, "expected 3 fields, found 4"),  # trailing comma
+    ("0,1.0,2.0\n0,abc,2.0\n", 3, "bad feature value"),
+    ("3.0,1.0,2.0\n", 2, "bad label"),
+    ("x,1.0,2.0\n", 2, "bad label"),
+    ("1_0,1.0,2.0\n", 2, "bad label"),  # plain decimal only
+    ("\u0661,1.0,2.0\n", 2, "bad label"),  # ASCII digits only
+    ("0,1.0,2.0\n\n1,nan,2.0\n", 4, "non-finite feature value"),
+    ("0,1.0,2.0\n# a comment\n", 3, "expected 3 fields, found 1"),
+    ("# a,b,c\n", 2, "bad label"),  # comments are off
+    ('0,"1.0",2.0\n', 2, "bad feature value"),  # no quoting
+    ("0,1_0,2.0\n", 2, "bad feature value"),
+    ("9223372036854775808,1.0,2.0\n", 2, "bad label"),  # beyond int64
+])
+def test_load_rejects_malformed_rows(tmp_path, body, no, what):
+    p = tmp_path / "bad.csv"
+    p.write_text("label,f0,f1\n" + body)
+    with pytest.raises(DatasetFormatError, match=f"line {no}: {what}"):
+        load_dataset(p, "x")
+
+
+@pytest.mark.parametrize("field", [
+    "7", " +7 ", "-0", "+-7", "7.", ".5", "e5", "1e5", "1E-5", "1d5", "0x10", "", " ", "\t",
+    "Infinity", "-iNf", "infinit", "NaN", "nan(1)", "\u30007", "7\u3000", "\xa07", "7\x00",
+    "9223372036854775807", "-9223372036854775809", "1,5",
+])
+def test_every_rejected_field_names_its_line(tmp_path, field):
+    # the row-by-row checks must reject exactly what numpy's reader rejects
+    p = tmp_path / "f.csv"
+    for body in (f"0,1.0\n\n{field},2.0\n", f"0,1.0\n\n1,{field}\n"):
+        p.write_text("label,f0\n" + body)
+        try:
+            load_dataset(p, "x")
+        except DatasetFormatError as e:
+            assert "line 4: " in str(e)
+
+
+def test_load_skips_whitespace_lines_and_takes_small_tables(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("label,f0,f1\n \t \n0,1.5,-2.0\n\n   \n")
+    ds = load_dataset(p)
+    assert ds.features.tolist() == [[1.5, -2.0]] and ds.labels.tolist() == [0]
+    p.write_text("label,f0\n3,0.25\n-1,+7\n")
+    ds = load_dataset(p)
+    assert ds.features.shape == (2, 1) and ds.features[:, 0].tolist() == [0.25, 7.0]
+    assert ds.labels.tolist() == [3, -1]
 
 
 def test_episode_spec_validation():
