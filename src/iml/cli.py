@@ -195,7 +195,6 @@ _SETTINGS = (
     _Setting("train.seed", int),
     _Setting("train.val_episodes", int, _AT_LEAST_1),
     _Setting("train.exemplars_per_class", int, _AT_LEAST_1),
-    _Setting("train.anchors_per_step", _optional(int), _AT_LEAST_1),
     _Setting("train.kl_order", _text, _one_of(KL_ORDERS)),
     _Setting("train.hidden_dims", _list(int), _each(_AT_LEAST_1), "hidden_dims"),
     _Setting("train.embed_dim", int, _AT_LEAST_1, "embed_dim"),

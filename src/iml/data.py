@@ -345,14 +345,13 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
     )
 
 
-def sample_anchor_subset(anchors, k: int, rng: np.random.Generator):
-    """Uniform subset of k stored anchors, without replacement."""
+def sample_anchor_subset(n: int, k: int, rng: np.random.Generator) -> Array:
+    """Sorted rows of a uniform draw of k of n stored anchors, without replacement."""
     if k < 1:
         raise ValueError("anchor subset must contain at least one anchor")
-    if k > len(anchors):
-        raise ValueError(f"asked for {k} anchors but only {len(anchors)} are stored")
-    idx = np.sort(rng.choice(len(anchors), size=k, replace=False))
-    return anchors.restrict([anchors.class_ids[i] for i in idx])
+    if k > n:
+        raise ValueError(f"asked for {k} anchors but only {n} are stored")
+    return np.sort(rng.choice(n, size=k, replace=False))
 
 
 def reserve_exemplars(dataset: Dataset, per_class: int, rng: np.random.Generator) -> Dataset:

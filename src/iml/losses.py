@@ -21,20 +21,14 @@ from enum import Enum
 from . import autodiff as ad
 from .autodiff import Array, Tensor
 from .data import Episode
-from .model import (
-    AnchorSet,
-    BoundParams,
-    ParamStore,
-    discriminant,
-    embed,
-)
+from .model import BoundParams, ParamStore, embed
 
 
 class MethodKind(str, Enum):
     NU = "nu"      # no update: keep the teacher as-is
     FT = "ft"      # plain fine-tuning on new data
     DFA = "dfa"    # direct feature alignment
-    IDA = "ida"    # indirect discriminant alignment (anchors only)
+    IDA = "ida"    # indirect alignment of anchor posteriors (anchors only)
     EIML = "eiml"  # exemplar-based alignment
     PAR = "par"    # paragon: retrain on the union of old and new data
 
@@ -64,26 +58,33 @@ class LossBreakdown:
 # ---- cores: each formula once, on embeddings of the rows it scores ----
 
 
-def ida_kl(
-    z, z_teacher: Array, anchors: AnchorSet, temperature: float,
-    kl_order: str = "student_first",
-) -> Tensor:
-    """Mean KL between the posteriors over `anchors` of `z` and of the teacher's `z_teacher`.
+def posterior_kl(d, d_teacher, temperature: float, teacher_first: bool) -> Tensor:
+    """Mean over rows of the KL between softmax(-d / T) and softmax(-d_teacher / T).
 
-    The teacher side is a constant.  ``kl_order`` picks which distribution
-    is the KL's first argument.
+    ``d`` and the teacher's constant ``d_teacher`` hold squared distances
+    from the same rows to the same class centres; the tempered posteriors
+    are distillation's softened softmax (Hinton et al. 2015).  The
+    student's posterior is the KL's first argument unless ``teacher_first``.
+    """
+    student = ad.softmax_rows(ad.scale(d, -1.0), temperature)
+    teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
+    p, q = (teacher, student) if teacher_first else (student, teacher)
+    return ad.tmean(ad.kl_div_rows(p, q))
+
+
+def ida_kl(
+    z, z_teacher: Array, centers: Array, temperature: float, kl_order: str = "student_first",
+) -> Tensor:
+    """`posterior_kl` of `z` and the teacher's `z_teacher` over the stored anchor ``centers``.
+
+    ``kl_order`` picks which distribution is the KL's first argument.
     """
     if kl_order not in KL_ORDERS:
         raise ValueError(f"kl_order must be one of {KL_ORDERS}, got {kl_order!r}")
-    if len(anchors) == 0:
+    if len(centers) == 0:
         raise ValueError("anchor subset is empty")
-    student = discriminant(z, anchors, temperature)
-    teacher = discriminant(z_teacher, anchors, temperature)
-    if kl_order == "student_first":
-        p, q = student, teacher
-    else:
-        p, q = teacher, student
-    return ad.tmean(ad.kl_div_rows(p, q))
+    return posterior_kl(ad.pairwise_sqdist(z, centers), ad.pairwise_sqdist(z_teacher, centers),
+                        temperature, kl_order == "teacher_first")
 
 
 def feature_drift(z, z_teacher: Array) -> Tensor:
@@ -95,16 +96,13 @@ def feature_drift(z, z_teacher: Array) -> Tensor:
 def exemplar_kl(z, z_teacher: Array, exemplar_episode: Episode, temperature: float) -> Tensor:
     """EIML's align_old from both models' embeddings of ``exemplar_episode.inputs``.
 
-    Each model scores the exemplar queries against prototypes recomputed
-    from its own embedding of the exemplar support; the teacher's
-    posterior is the KL's first argument.
+    `posterior_kl`, teacher first, where each model scores the exemplar
+    queries against prototypes recomputed from its own embedding of the
+    exemplar support (Snell et al. 2017).
     """
     sy, ways = exemplar_episode.support_y, exemplar_episode.n_ways
-    d_teacher = ad.proto_sqdist(z_teacher, sy, ways)
-    d_student = ad.proto_sqdist(z, sy, ways)
-    p_teacher = ad.softmax_rows(ad.scale(d_teacher, -1.0), temperature)
-    p_student = ad.softmax_rows(ad.scale(d_student, -1.0), temperature)
-    return ad.tmean(ad.kl_div_rows(p_teacher, p_student))
+    return posterior_kl(ad.proto_sqdist(z, sy, ways), ad.proto_sqdist(z_teacher, sy, ways),
+                        temperature, teacher_first=True)
 
 
 # ---- objectives: embed, then call the cores ----
@@ -154,7 +152,7 @@ def incremental_objective(
     method: MethodKind | str, new_params: ParamStore | BoundParams, episode: Episode,
     lam: float, temperature: float, kl_order: str = "student_first",
     lam_old: float | None = None, lam_new: float | None = None, *,
-    teacher_z: Array | None = None, anchors: AnchorSet | None = None,
+    teacher_z: Array | None = None, anchors: Array | None = None,
     exemplar_episode: Episode | None = None, exemplar_teacher_z: Array | None = None,
 ) -> LossBreakdown:
     """Episodic cross-entropy plus the method's weighted alignment terms.
@@ -163,10 +161,11 @@ def incremental_objective(
     alignment terms both read that embedding.  The teacher's side comes in
     as arrays: ``teacher_z`` and ``exemplar_teacher_z`` are the frozen
     teacher's embeddings of ``episode.inputs`` and ``exemplar_episode.inputs``,
-    and ``anchors`` are the stored anchors to align on (ida's sampled subset,
-    eiml's exemplar classes).  A missing input the method reads raises
-    ``ValueError``.  When `align_weights` gives no weights the alignment is
-    skipped before that check, so the total *is* the meta term, bitwise.
+    and ``anchors`` holds the centres of the stored anchors to align on, one
+    per row (ida's sampled subset, eiml's exemplar classes in episode
+    order).  A missing input the method reads raises ``ValueError``.  When
+    `align_weights` gives no weights the alignment is skipped before that
+    check, so the total *is* the meta term, bitwise.
     """
     method = MethodKind(method)
     weights = align_weights(method, lam, lam_old, lam_new)

@@ -3,7 +3,7 @@
 The backbone is a plain MLP with relu between layers and a linear final
 layer, so embeddings live in all of R^F.  Classification is metric-based:
 a query point is scored against class centers by (negative) squared
-Euclidean distance, optionally tempered into a posterior.
+Euclidean distance.
 """
 from __future__ import annotations
 
@@ -127,16 +127,6 @@ class AnchorSet:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def restrict(self, class_ids) -> "AnchorSet":
-        """Sub-anchor-set for the given class ids, in the given order."""
-        pos = {c: i for i, c in enumerate(self.class_ids)}
-        wanted = [int(c) for c in class_ids]
-        missing = [c for c in wanted if c not in pos]
-        if missing:
-            raise ValueError(f"classes {missing} have no stored anchors")
-        idx = [pos[c] for c in wanted]
-        return AnchorSet(tuple(wanted), self.centers[idx].copy(), self.round_tag)
-
 
 def merge_anchor_sets(old: AnchorSet, new: AnchorSet) -> AnchorSet:
     """Union of two anchor sets; class ids must be disjoint, old rows kept bit-for-bit."""
@@ -148,13 +138,6 @@ def merge_anchor_sets(old: AnchorSet, new: AnchorSet) -> AnchorSet:
         np.vstack([old.centers, new.centers]),
         new.round_tag,
     )
-
-
-def discriminant(z, anchors, temperature: float) -> Tensor:
-    """Posterior over anchors: softmax over -||z - c_k||^2 / T, row-wise."""
-    centers = anchors.centers if isinstance(anchors, AnchorSet) else anchors
-    d = ad.pairwise_sqdist(ad.as_tensor(z), ad.as_tensor(centers))
-    return ad.softmax_rows(ad.scale(d, -1.0), temperature)
 
 
 @dataclass(frozen=True)

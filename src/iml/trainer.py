@@ -70,7 +70,6 @@ class TrainConfig:
     seed: int = 0
     val_episodes: int = 50
     exemplars_per_class: int = 15
-    anchors_per_step: int | None = None
     kl_order: str = "student_first"
     backbone: BackboneConfig | None = None
     log_path: str | None = None
@@ -92,8 +91,6 @@ class TrainConfig:
             raise ValueError("patience must be non-negative")
         if self.val_episodes < 1:
             raise ValueError("val_episodes must be at least 1")
-        if self.anchors_per_step is not None and self.anchors_per_step < 1:
-            raise ValueError(f"anchors_per_step must be at least 1, got {self.anchors_per_step}")
         if self.kl_order not in KL_ORDERS:
             raise ValueError(f"kl_order must be one of {KL_ORDERS}, got {self.kl_order!r}")
 
@@ -317,16 +314,19 @@ def train_incremental(
     ex_rng = np.random.default_rng([cfg.seed, _EXEMPLAR_STREAM, round_index])
 
     need_align = bool(align_weights(method, cfg.lam, cfg.lam_old, cfg.lam_new))
-    k = cfg.anchors_per_step or min(cfg.episode.ways, len(old.anchors))
-    if need_align and method is MethodKind.IDA and k > len(old.anchors):
-        raise ValueError(
-            f"anchors_per_step is {k} but the teacher stores only {len(old.anchors)} anchors"
-        )
+    # Steps align on rows of the stored centres: IDA on k sampled rows, EIML
+    # on the rows of its exemplar episode's classes.
+    centers = old.anchors.centers
+    row_of = {c: i for i, c in enumerate(old.anchors.class_ids)}
+    k = min(cfg.episode.ways, len(centers))
+    if need_align and method is MethodKind.IDA and k == 0:
+        raise ValueError("ida aligns on stored anchors, but the teacher stores none")
     use_exemplars = method is MethodKind.EIML and need_align
     exemplar_spec = _exemplar_episode_spec(cfg, exemplars) if use_exemplars else None
     if use_exemplars:
         _check_tables(old.config.input_dim, exemplar_spec, exemplar=exemplars)
-        old.anchors.restrict(exemplars.classes)  # raises unless every exemplar class is anchored
+        if missing := [c for c in exemplars.classes if c not in row_of]:
+            raise ValueError(f"classes {missing} have no stored anchors")
     # The teacher is frozen, so its embedding of a row never changes: embed
     # each table once per round and gather every step's rows from it.
     teacher_z = embed(old.params, new_ds.features).data if need_align else None
@@ -337,11 +337,11 @@ def train_incremental(
         if need_align:
             teacher["teacher_z"] = teacher_z[ep.rows]
             if method is MethodKind.IDA:
-                teacher["anchors"] = sample_anchor_subset(old.anchors, k, anchor_rng)
+                teacher["anchors"] = centers[sample_anchor_subset(len(centers), k, anchor_rng)]
             elif method is MethodKind.EIML:
                 ex = sample_episode(exemplars, exemplar_spec, ex_rng)
-                teacher.update(anchors=old.anchors.restrict(ex.class_map), exemplar_episode=ex,
-                               exemplar_teacher_z=exemplar_teacher_z[ex.rows])
+                teacher.update(anchors=centers[[row_of[c] for c in ex.class_map]],
+                               exemplar_episode=ex, exemplar_teacher_z=exemplar_teacher_z[ex.rows])
         br = incremental_objective(method, bound, ep, cfg.lam, cfg.temperature, cfg.kl_order,
                                    cfg.lam_old, cfg.lam_new, **teacher)
         return br.total, br.sqdists

@@ -42,7 +42,6 @@ from iml.model import (
     BoundParams,
     ParamStore,
     SnapshotMeta,
-    discriminant,
     embed,
     freeze_snapshot,
     init_backbone,
@@ -212,13 +211,14 @@ def test_c1_gradient_check():
         return embed(bound(ls), x)
 
     check(lambda ls: meta_xent_loss(bound(ls), episode, temp)[0])
-    check(lambda ls: ida_kl(student_z(ls), batch_teacher, teacher.anchors, temp))
+    centers = teacher.anchors.centers
+    exemplar_rows = [teacher.anchors.class_ids.index(c) for c in exemplar_ep.class_map]
+    check(lambda ls: ida_kl(student_z(ls), batch_teacher, centers, temp))
     check(lambda ls: feature_drift(student_z(ls), batch_teacher))
 
     def eiml_total(ls):
         a_old = exemplar_kl(student_z(ls, exemplar_x), exemplar_teacher, exemplar_ep, temp)
-        a_new = ida_kl(student_z(ls), batch_teacher,
-                       teacher.anchors.restrict(exemplar_ep.class_map), temp)
+        a_new = ida_kl(student_z(ls), batch_teacher, centers[exemplar_rows], temp)
         return ad.add(a_old, a_new)
 
     check(eiml_total)
@@ -378,9 +378,10 @@ def test_c8_protocol_invariants():
     old_tr, old_va = tr.subset_classes(a, "old"), va.subset_classes(a, "old")
     new_tr, new_va = tr.subset_classes(b, "new"), va.subset_classes(b, "new")
 
-    # discriminant rows are distributions
-    anchors = extract_anchors(params, old_tr)
-    post = discriminant(embed(params, rng.normal(size=(40, dim))), anchors, 2.0)
+    # anchor posteriors (posterior_kl's softmax over -d / T) are distributions
+    centers = extract_anchors(params, old_tr).centers
+    d = ad.pairwise_sqdist(embed(params, rng.normal(size=(40, dim))), centers)
+    post = ad.softmax_rows(ad.scale(d, -1.0), 2.0)
     np.testing.assert_allclose(post.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     # KL is non-negative

@@ -103,6 +103,7 @@ def test_unknown_section_and_key(tmp_path):
         ("[train]\nLR = 0.01\n", [], "unknown config key train.LR"),
         ("", ["TRAIN.lr=0.01"], r"unknown config section \[TRAIN\]"),
         ("", ["train.LR=0.01"], "unknown config key train.LR"),
+        ("[train]\nanchors_per_step = 3\n", [], "unknown config key train.anchors_per_step"),
     ]
     for text, sets, needle in cases:
         p.write_text(text)

@@ -23,7 +23,6 @@ from iml.data import (
     save_dataset,
     uniform_offset,
 )
-from iml.model import AnchorSet
 
 
 def small_spec(**kw):
@@ -475,27 +474,26 @@ def test_episode_inputs_are_support_rows_then_query_rows():
 
 
 def test_sample_anchor_subset():
-    anchors = AnchorSet(tuple(range(32)), np.random.default_rng(0).standard_normal((32, 4)))
     rng = np.random.default_rng(1)
-    sub = sample_anchor_subset(anchors, 5, rng)
-    assert len(sub) == 5
-    assert set(sub.class_ids) <= set(anchors.class_ids)
-    full = sample_anchor_subset(anchors, 32, rng)
-    assert set(full.class_ids) == set(anchors.class_ids)
+    sub = sample_anchor_subset(32, 5, rng)
+    assert sub.shape == (5,)
+    assert np.issubdtype(sub.dtype, np.integer)
+    # distinct rows of the 32 stored anchors, in ascending order
+    assert np.all(np.diff(sub) > 0) and 0 <= sub[0] and sub[-1] < 32
+    assert np.array_equal(sample_anchor_subset(32, 32, rng), np.arange(32))
     with pytest.raises(ValueError, match="at least one"):
-        sample_anchor_subset(anchors, 0, rng)
+        sample_anchor_subset(32, 0, rng)
     with pytest.raises(ValueError, match="only 32"):
-        sample_anchor_subset(anchors, 33, rng)
+        sample_anchor_subset(32, 33, rng)
 
 
 def test_sample_anchor_subset_uniform():
-    anchors = AnchorSet(tuple(range(32)), np.zeros((32, 2)))
     rng = np.random.default_rng(2)
     hits = np.zeros(32)
     n = 10000
     for _ in range(n):
-        for cid in sample_anchor_subset(anchors, 5, rng).class_ids:
-            hits[cid] += 1
+        for row in sample_anchor_subset(32, 5, rng):
+            hits[row] += 1
     p = 5.0 / 32.0
     sigma = math.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(hits / n - p) < 3.5 * sigma)

@@ -106,15 +106,20 @@ def embeddings(old, params, x):
     return embed(params, x), embed(old.params, x).data
 
 
+def centers_of(old, class_ids):
+    """The teacher's stored centres of `class_ids`, in that order, as the trainer gathers them."""
+    return old.anchors.centers[[old.anchors.class_ids.index(c) for c in class_ids]]
+
+
 def test_ida_zero_when_student_equals_teacher():
     params = identity_params()
     old = snapshot_for(identity_params())
     batch = np.random.default_rng(0).standard_normal((10, 2))
     # same weights on both sides: distributions coincide, KL exactly 0
     old2 = snapshot_for(params)
-    loss = ida_kl(*embeddings(old2, params.copy(), batch), old2.anchors, 2.0)
+    loss = ida_kl(*embeddings(old2, params.copy(), batch), old2.anchors.centers, 2.0)
     assert float(loss) == 0.0
-    assert float(ida_kl(*embeddings(old, params, batch), old.anchors, 2.0,
+    assert float(ida_kl(*embeddings(old, params, batch), old.anchors.centers, 2.0,
                         kl_order="teacher_first")) == 0.0
 
 
@@ -123,8 +128,8 @@ def test_ida_positive_when_params_differ():
     moved = shifted_params([0.8, -0.4])
     batch = np.random.default_rng(1).standard_normal((12, 2))
     z, zt = embeddings(old, moved, batch)
-    a = float(ida_kl(z, zt, old.anchors, 2.0))
-    b = float(ida_kl(z, zt, old.anchors, 2.0, kl_order="teacher_first"))
+    a = float(ida_kl(z, zt, old.anchors.centers, 2.0))
+    b = float(ida_kl(z, zt, old.anchors.centers, 2.0, kl_order="teacher_first"))
     assert a > 0 and b > 0
     assert a != b  # KL is asymmetric
 
@@ -133,9 +138,9 @@ def test_ida_validation():
     old = snapshot_for(identity_params())
     z, zt = embeddings(old, identity_params(), np.ones((2, 2)))
     with pytest.raises(ValueError, match="kl_order"):
-        ida_kl(z, zt, old.anchors, 2.0, kl_order="both")
+        ida_kl(z, zt, old.anchors.centers, 2.0, kl_order="both")
     with pytest.raises(ValueError, match="anchor subset is empty"):
-        ida_kl(z, zt, old.anchors.restrict(()), 2.0)
+        ida_kl(z, zt, np.zeros((0, 2)), 2.0)
 
 
 def test_ida_gradients():
@@ -150,7 +155,7 @@ def test_ida_gradients():
     for order in ("student_first", "teacher_first"):
         err = ad.grad_check(
             lambda ls: ida_kl(embed(BoundParams(ls[0], student.layout), batch), zt,
-                              old.anchors, 2.0, kl_order=order),
+                              old.anchors.centers, 2.0, kl_order=order),
             [student.flat],
         )
         assert err < 1e-6, (order, err)
@@ -193,7 +198,7 @@ def eiml_fixture(seed=0):
 def eiml_terms(old, params, ex, batch):
     """EIML's (align_old, align_new) from the cores: exemplar KL, and IDA on `ex`'s anchors."""
     a_old = exemplar_kl(*embeddings(old, params, ex.inputs), ex, 2.0)
-    a_new = ida_kl(*embeddings(old, params, batch), old.anchors.restrict(ex.class_map), 2.0)
+    a_new = ida_kl(*embeddings(old, params, batch), centers_of(old, ex.class_map), 2.0)
     return a_old, a_new
 
 
@@ -212,7 +217,7 @@ def test_eiml_align_new_matches_ida_on_episode_anchors():
     br = incremental_objective(MethodKind.EIML, student, task, 1.0, 2.0,
                                **eiml_inputs(old, task, ep))
     direct = ida_kl(*embeddings(old, student, task.inputs),
-                    old.anchors.restrict(ep.class_map), 2.0)
+                    centers_of(old, ep.class_map), 2.0)
     assert float(br.terms["align_new"][1]) == float(direct)
 
 
@@ -255,7 +260,7 @@ def teacher_rows(old, ep):
 def test_objective_ida_lambda_zero_short_circuits():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 2)
-    br = incremental_objective(MethodKind.IDA, student, ep, 0.0, 2.0, anchors=old.anchors,
+    br = incremental_objective(MethodKind.IDA, student, ep, 0.0, 2.0, anchors=old.anchors.centers,
                                teacher_z=teacher_rows(old, ep))
     assert br.total is br.meta_ce
     assert br.terms == {}
@@ -264,10 +269,10 @@ def test_objective_ida_lambda_zero_short_circuits():
 def test_objective_ida_composition():
     old, ep, _, cfg = eiml_fixture()
     student = init_backbone(cfg, 3)
-    br = incremental_objective(MethodKind.IDA, student, ep, 2.0, 2.0, anchors=old.anchors,
+    br = incremental_objective(MethodKind.IDA, student, ep, 2.0, 2.0, anchors=old.anchors.centers,
                                teacher_z=teacher_rows(old, ep))
     meta = float(meta_xent_loss(student, ep, 2.0)[0])
-    align = float(ida_kl(*embeddings(old, student, ep.inputs), old.anchors, 2.0))
+    align = float(ida_kl(*embeddings(old, student, ep.inputs), old.anchors.centers, 2.0))
     assert abs(float(br.total) - (meta + 2.0 * align)) < 1e-12
     assert list(br.terms) == ["align"]
     weight, value = br.terms["align"]
@@ -295,7 +300,7 @@ def test_objective_dfa_composition():
 
 def eiml_inputs(old, task, ex):
     """EIML's teacher-side inputs as the trainer passes them: `ex`'s classes' anchors."""
-    return dict(teacher_z=teacher_rows(old, task), anchors=old.anchors.restrict(ex.class_map),
+    return dict(teacher_z=teacher_rows(old, task), anchors=centers_of(old, ex.class_map),
                 exemplar_episode=ex, exemplar_teacher_z=teacher_rows(old, ex))
 
 
@@ -344,7 +349,7 @@ def test_objective_aligning_steps_require_teacher_rows():
     task = synthetic_episode(2)
     inputs = {
         MethodKind.DFA: dict(teacher_z=teacher_rows(old, task)),
-        MethodKind.IDA: dict(teacher_z=teacher_rows(old, task), anchors=old.anchors),
+        MethodKind.IDA: dict(teacher_z=teacher_rows(old, task), anchors=old.anchors.centers),
         MethodKind.EIML: eiml_inputs(old, task, ep),
     }
     for method, full in inputs.items():

@@ -10,7 +10,6 @@ from iml.model import (
     ModelSnapshot,
     ParamStore,
     SnapshotMeta,
-    discriminant,
     embed,
     freeze_snapshot,
     init_backbone,
@@ -239,15 +238,6 @@ def test_anchor_set_basics():
         AnchorSet((3, 7), np.ones((3, 4)))
 
 
-def test_anchor_restrict_preserves_request_order():
-    a = AnchorSet((1, 2, 3), np.arange(6.0).reshape(3, 2))
-    r = a.restrict((3, 1))
-    assert r.class_ids == (3, 1)
-    assert np.array_equal(r.centers, [[4.0, 5.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="no stored anchors"):
-        a.restrict((9,))
-
-
 def test_merge_anchor_sets():
     a = AnchorSet((0, 1), np.zeros((2, 3)), round_tag=0)
     b = AnchorSet((5, 6), np.ones((2, 3)), round_tag=2)
@@ -259,20 +249,25 @@ def test_merge_anchor_sets():
         merge_anchor_sets(a, AnchorSet((1, 9), np.ones((2, 3))))
 
 
+def anchor_posterior(z, centers, temperature):
+    """The anchor posterior `losses.posterior_kl` takes: softmax over -||z - c_k||^2 / T."""
+    return ad.softmax_rows(ad.scale(ad.pairwise_sqdist(z, centers), -1.0), temperature)
+
+
 def test_discriminant_rows_sum_to_one():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((30, 6))
-    anchors = AnchorSet(tuple(range(8)), rng.standard_normal((8, 6)))
+    centers = rng.standard_normal((8, 6))
     tape = ad.Tape()
-    d = discriminant(tape.leaf(z), anchors, 2.0)
+    d = anchor_posterior(tape.leaf(z), centers, 2.0)
     assert d.data.shape == (30, 8)
     assert np.all(np.abs(d.data.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_discriminant_prefers_nearest_anchor():
-    anchors = AnchorSet((0, 1), np.array([[0.0, 0.0], [10.0, 10.0]]))
+    centers = np.array([[0.0, 0.0], [10.0, 10.0]])
     tape = ad.Tape()
-    d = discriminant(tape.leaf(np.array([[0.1, 0.1]])), anchors, 1.0)
+    d = anchor_posterior(tape.leaf(np.array([[0.1, 0.1]])), centers, 1.0)
     assert d.data[0, 0] > 0.99
 
 

@@ -20,7 +20,9 @@ from iml.data import (
 )
 from iml.data import sample_episode
 from iml.losses import MethodKind, meta_xent_loss
-from iml.model import BackboneConfig, ParamStore, embed, init_backbone, score_episode
+from iml.model import (
+    AnchorSet, BackboneConfig, ParamStore, embed, freeze_snapshot, init_backbone, score_episode,
+)
 from iml.trainer import (
     OptimState,
     _EpochLog,
@@ -92,9 +94,7 @@ def test_config_validation():
         small_cfg(temperature=0.0)
     with pytest.raises(ValueError):
         small_cfg(kl_order="sideways")
-    for bad, needle in ((dict(lam_old=-0.5), "lambda_old"), (dict(lam_new=-1.0), "lambda_new"),
-                        (dict(anchors_per_step=0), "anchors_per_step"),
-                        (dict(anchors_per_step=-2), "anchors_per_step")):
+    for bad, needle in ((dict(lam_old=-0.5), "lambda_old"), (dict(lam_new=-1.0), "lambda_new")):
         with pytest.raises(ValueError, match=needle):
             small_cfg(**bad)
 
@@ -441,15 +441,18 @@ def test_tape_nodes_per_step_pinned(monkeypatch):
     assert counts == [5, 5, 12, 14, 24, 5]  # base, ft, dfa, ida, eiml, par
 
 
-def test_incremental_rejects_too_many_anchors_before_logging(tmp_path):
+def test_incremental_rejects_anchorless_teacher_before_logging(tmp_path):
+    """IDA with a teacher that stores no anchors fails before the previous log is cut."""
     old_tr, old_va, new_tr, new_va = domain_data()
     base = train_base(old_tr, old_va, small_cfg())
+    anchorless = freeze_snapshot(base.params, AnchorSet((), np.zeros((0, 4))), base.meta)
     log = tmp_path / "incr.csv"
     log.write_text("previous run\n")
-    cfg = small_cfg(anchors_per_step=9, log_path=str(log))
-    with pytest.raises(ValueError, match="anchors_per_step is 9 .* only 6 anchors"):
-        train_incremental(base, new_tr, new_va, MethodKind.IDA, cfg)
+    with pytest.raises(ValueError, match="ida aligns on stored anchors, but the teacher stores"):
+        train_incremental(anchorless, new_tr, new_va, MethodKind.IDA, small_cfg(log_path=str(log)))
     assert log.read_text() == "previous run\n"
+    # without an alignment weight IDA reads no anchors, so it trains
+    train_incremental(anchorless, new_tr, new_va, MethodKind.IDA, small_cfg(lam=0.0))
 
 
 def test_epoch_log_failed_rename_keeps_previous_log(tmp_path, monkeypatch):
@@ -488,22 +491,28 @@ def test_gathered_teacher_rows_equal_teacher_embedding(monkeypatch):
     ex = reserve_exemplars(old_tr, 6, np.random.default_rng(0))
     inputs = {MethodKind.DFA: {"teacher_z"}, MethodKind.IDA: {"teacher_z", "anchors"},
               MethodKind.EIML: {"teacher_z", "anchors", "exemplar_episode", "exemplar_teacher_z"}}
+    centers = base.anchors.centers
     for method, names in inputs.items():
         calls = spy_objective(monkeypatch)
         train_incremental(base, new_tr, new_va, method, small_cfg(), exemplars=ex)
         assert len(calls) == small_cfg().epochs * small_cfg().tasks_per_epoch
+        # IDA's rows: a sorted draw of k = min(ways, stored) from round 1's anchor stream
+        anchor_rng = np.random.default_rng([small_cfg().seed, 102, 1])
+        k = min(small_cfg().episode.ways, len(centers))
         for ep, given in calls:
             assert given.keys() == names, method
             want = embed(base.params, ep.inputs).data
             assert np.array_equal(given["teacher_z"], want), method
+            if method is MethodKind.IDA:
+                rows = np.sort(anchor_rng.choice(len(centers), size=k, replace=False))
+                assert np.array_equal(given["anchors"], centers[rows])
             if method is MethodKind.EIML:
-                ex_ep, anchors = given["exemplar_episode"], given["anchors"]
+                ex_ep = given["exemplar_episode"]
                 want = embed(base.params, ex_ep.inputs).data
                 assert np.array_equal(given["exemplar_teacher_z"], want)
                 # align_new reads the stored anchors of the exemplar episode's classes only
-                assert anchors.class_ids == ex_ep.class_map
                 rows = [base.anchors.class_ids.index(c) for c in ex_ep.class_map]
-                assert np.array_equal(anchors.centers, base.anchors.centers[rows])
+                assert np.array_equal(given["anchors"], centers[rows])
 
 
 def test_eiml_rejects_unanchored_exemplars_before_logging(tmp_path):
