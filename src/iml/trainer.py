@@ -314,8 +314,6 @@ def train_incremental(
     ex_rng = np.random.default_rng([cfg.seed, _EXEMPLAR_STREAM, round_index])
 
     need_align = bool(align_weights(method, cfg.lam, cfg.lam_old, cfg.lam_new))
-    # Steps align on rows of the stored centres: IDA on k sampled rows, EIML
-    # on the rows of its exemplar episode's classes.
     centers = old.anchors.centers
     row_of = {c: i for i, c in enumerate(old.anchors.class_ids)}
     k = min(cfg.episode.ways, len(centers))
