@@ -27,6 +27,7 @@ from .data import (
     concat_datasets,
     gen_synthetic,
     load_dataset,
+    remove_dataset,
     save_dataset,
     uniform_offset,
     write_text_atomic,
@@ -437,6 +438,8 @@ def cmd_gen_data(args, rc: RunConfig) -> int:
     }
     if a_unseen or b_unseen:
         tables["unseen_test"] = test_draw.subset_classes(a_unseen + b_unseen, "unseen")
+    else:  # an earlier gen-data's table would be scored as this run's
+        remove_dataset(rp.data_dir / "unseen_test.csv")
     for role, ds in tables.items():
         save_dataset(ds, rp.data_dir / f"{role}.csv")
         print(f"wrote {rp.data_dir / f'{role}.csv'} ({len(ds)} rows, {ds.n_classes} classes)")

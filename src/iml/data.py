@@ -8,6 +8,8 @@ vector, with isotropic Gaussian samples around each center.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import re
@@ -195,24 +197,50 @@ def gen_synthetic(
 
 def write_text_atomic(path, text: str) -> None:
     """Write through a temp file and a rename, so a crash never leaves a half-written file."""
+    _write_atomic(path, lambda tmp: tmp.write_text(text))
+
+
+def _write_atomic(path, write) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _copy_path(path) -> Path:
+    return Path(f"{path}.bin")
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write `label,f0,f1,...` rows; float repr so a round trip is bit-exact."""
+    """Write `label,f0,f1,...` rows; float repr so a round trip is bit-exact.
+
+    Unless the parse would reject the table, then write a copy for
+    `load_dataset`: the CSV's sha256, then `np.save` of labels and features.
+    """
     lines = ["label," + ",".join(f"f{i}" for i in range(dataset.dim))]
     lines += [
         f"{lab}," + ",".join(map(repr, row))
         for lab, row in zip(dataset.labels.tolist(), dataset.features.tolist())
     ]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_text_atomic(path, text)
+    if len(dataset) and dataset.dim and np.isfinite(dataset.features).all():
+        buf = io.BytesIO()
+        buf.write(hashlib.sha256(text.encode()).digest())
+        np.save(buf, dataset.labels)
+        np.save(buf, dataset.features)
+        _write_atomic(_copy_path(path), lambda tmp: tmp.write_bytes(buf.getvalue()))
+
+
+def remove_dataset(path) -> None:
+    """Delete a table and its binary copy; one that is not there is no error."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    _copy_path(path).unlink(missing_ok=True)
 
 
 def load_dataset(path, split_name: str | None = None) -> Dataset:
@@ -221,13 +249,30 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
     The header's first field is exactly `label`.  Whitespace-only lines are
     skipped; there are no comments and no quotes.  numpy's C reader parses
     every row in one call.  Only when it rejects the table does `_row_error`
-    go through the rows one by one, to name the first bad line.
+    go through the rows one by one, to name the first bad line.  The binary
+    copy `save_dataset` writes is read instead while it matches these bytes.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as e:
         raise DatasetFormatError(f"{path}: {e}") from e
+    try:  # opening the copy comes first, so a table with none costs no hash
+        with open(_copy_path(path), "rb") as f:
+            if f.read(32) == hashlib.sha256(raw).digest():
+                labels = np.load(f, allow_pickle=False)
+                features = np.load(f, allow_pickle=False)
+                return Dataset(features.copy(), labels.copy(), split_name or path.stem)
+    except (OSError, ValueError, EOFError):
+        pass  # no copy, or a truncated or unreadable one: parse the CSV
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the bad one are valid; the "x" counts the line it is on
+        no = len((raw[:e.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(
+            f"{path}: line {no}: byte 0x{raw[e.start]:02x} is not UTF-8 text"
+        ) from e
     lines = text.splitlines()
     header = lines[0].split(",") if lines else [""]
     if header[0] != "label":

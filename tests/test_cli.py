@@ -16,6 +16,7 @@ from iml.cli import (
     parse_config,
     summary_markdown,
 )
+from iml.data import DatasetFormatError, load_dataset, save_dataset
 from iml.model import AnchorSet, BackboneConfig, SnapshotMeta, freeze_snapshot, init_backbone
 
 TINY_INI = """\
@@ -254,16 +255,113 @@ def test_gen_data_deterministic(tiny_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(a)]) == 0
     assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(b)]) == 0
-    for name in ("old_train.csv", "new_train.csv", "unseen_test.csv"):
+    for name in ("old_train.csv", "new_train.csv", "unseen_test.csv", "unseen_test.csv.bin"):
         assert (a / "data" / name).read_bytes() == (b / "data" / name).read_bytes()
 
 
-def test_gen_data_without_unseen(tiny_cfg, tmp_path):
+def test_gen_data_without_unseen(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "run"
-    code = cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(out),
-                         "--set", "data.unseen_classes_per_domain=0"])
-    assert code == 0
+    assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(out)]) == 0
+    assert (out / "data" / "unseen_test.csv").exists()
+    # regenerating without unseen classes must not leave the old table to be scored
+    no_unseen = ["-c", tiny_cfg, "--out", str(out), "--set", "data.unseen_classes_per_domain=0"]
+    assert cmd_dispatch(["gen-data", *no_unseen]) == 0
     assert not (out / "data" / "unseen_test.csv").exists()
+    assert not (out / "data" / "unseen_test.csv.bin").exists()
+    assert cmd_dispatch(["train-base", *no_unseen]) == 0
+    capsys.readouterr()
+    assert cmd_dispatch(["eval", "--method", "nu", *no_unseen]) == 2
+    assert "unseen_test.csv not found; run gen-data first" in capsys.readouterr().err
+
+
+# ---- the binary copy beside each generated table ----
+
+ROLES = ("old_train", "new_train", "old_val", "new_val", "old_test", "new_test", "unseen_test")
+
+
+@pytest.fixture()
+def gen_tables(tiny_cfg, tmp_path):
+    """The data directory of a gen-data run: each role's CSV and its copy."""
+    out = tmp_path / "run"
+    assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(out)]) == 0
+    data = out / "data"
+    assert sorted(p.name for p in data.iterdir()) == sorted(
+        f"{r}.csv{ext}" for r in ROLES for ext in ("", ".bin"))
+    return data
+
+
+def assert_same_table(a, b):
+    assert a.split_name == b.split_name
+    for x, y in ((a.features, b.features), (a.labels, b.labels)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for v in (x, y):
+            assert v.flags.c_contiguous and v.base is None
+
+
+def count_parses(monkeypatch) -> list:
+    """One entry per CSV parse (`np.loadtxt` call) from now on."""
+    calls, parse = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or parse(*a, **k))
+    return calls
+
+
+def test_table_copy_loads_what_the_parse_does(gen_tables, monkeypatch):
+    parses = count_parses(monkeypatch)
+    for role in ROLES:
+        csv = gen_tables / f"{role}.csv"
+        from_copy = [load_dataset(csv), load_dataset(csv, role.split("_")[0])]
+        assert not parses
+        (gen_tables / f"{role}.csv.bin").unlink()
+        assert_same_table(from_copy[0], load_dataset(csv))
+        assert_same_table(from_copy[1], load_dataset(csv, role.split("_")[0]))
+        assert len(parses) == 2
+        parses.clear()
+
+
+def test_edited_table_is_parsed_past_its_stale_copy(gen_tables):
+    for role in ROLES:
+        csv, copy = gen_tables / f"{role}.csv", gen_tables / f"{role}.csv.bin"
+        before, stale = load_dataset(csv), copy.read_bytes()
+        header, row, rest = csv.read_text().split("\n", 2)
+        label, f0, tail = row.split(",", 2)
+        at = next(i for i, ch in enumerate(f0) if ch.isdigit())
+        edited = f0[:at] + str((int(f0[at]) + 1) % 10) + f0[at + 1:]
+        csv.write_text("\n".join([header, ",".join([label, edited, tail]), rest]))
+        after = load_dataset(csv)
+        assert copy.read_bytes() == stale
+        assert after.features[0, 0] == float(edited) != before.features[0, 0]
+        after.features[0, 0] = before.features[0, 0]
+        assert_same_table(after, before)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda b: b[:-1], lambda b: b[:32], lambda b: b[:100], lambda b: b"",
+    lambda b: bytes([b[0] ^ 1]) + b[1:],
+], ids=["last-byte-cut", "digest-only", "header-cut", "empty", "digest-altered"])
+def test_damaged_copy_falls_back_to_the_parse(gen_tables, monkeypatch, damage):
+    for role in ROLES:
+        csv, copy = gen_tables / f"{role}.csv", gen_tables / f"{role}.csv.bin"
+        want = load_dataset(csv)
+        copy.write_bytes(damage(copy.read_bytes()))
+        with monkeypatch.context() as m:
+            parses = count_parses(m)
+            assert_same_table(load_dataset(csv), want)
+        assert parses == [1]
+
+
+def test_non_finite_table_fails_alike_with_or_without_a_copy(gen_tables, tmp_path):
+    (tmp_path / "bare").mkdir()
+    for role in ROLES:
+        ds = load_dataset(gen_tables / f"{role}.csv")
+        ds.features[3, 1] = np.nan
+        errors = []
+        for csv in (gen_tables / f"{role}.csv", tmp_path / "bare" / f"{role}.csv"):
+            save_dataset(ds, csv)  # the first keeps gen-data's copy, now stale
+            with pytest.raises(DatasetFormatError) as e:
+                load_dataset(csv)
+            errors.append(str(e.value).replace(str(csv), "<csv>"))
+        assert errors[0] == errors[1] == "<csv>: line 5: non-finite feature value"
+    assert not list((tmp_path / "bare").glob("*.bin"))
 
 
 # ---- end-to-end pipeline ----

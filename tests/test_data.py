@@ -160,10 +160,21 @@ def test_csv_header_round_trip(tmp_path):
     assert header == "label,f0,f1,f2"
 
 
+def files(d: Path) -> dict[str, bytes]:
+    return {x.name: x.read_bytes() for x in d.iterdir()}
+
+
+def assert_bitwise_equal(a: Dataset, b: Dataset):
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+
+
 def test_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "d.csv"
-    save_dataset(gen_synthetic(small_spec()), p)
-    before = p.read_bytes()
+    previous = gen_synthetic(small_spec())
+    save_dataset(previous, p)
+    before = files(tmp_path)
+    assert sorted(before) == ["d.csv", "d.csv.bin"]
 
     def fail(src, dst):
         raise OSError("rename failed")
@@ -171,8 +182,45 @@ def test_failed_rename_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename failed"):
         save_dataset(gen_synthetic(small_spec(seed=1)), p)
-    assert p.read_bytes() == before
-    assert sorted(x.name for x in tmp_path.iterdir()) == ["d.csv"]
+    assert files(tmp_path) == before  # both intact, and no temp file left
+    monkeypatch.undo()
+
+    def no_parse(*a, **k):
+        raise AssertionError("the CSV was parsed, so the copy no longer matches it")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert_bitwise_equal(load_dataset(p), previous)
+
+
+def test_failed_copy_write_leaves_the_new_table_to_the_parse(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    save_dataset(gen_synthetic(small_spec()), p)
+    new = gen_synthetic(small_spec(seed=1))
+    replace = os.replace
+
+    def fail_copy(src, dst):
+        if str(dst).endswith(".bin"):
+            raise OSError("copy rename failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_copy)
+    with pytest.raises(OSError, match="copy rename failed"):
+        save_dataset(new, p)
+    assert sorted(files(tmp_path)) == ["d.csv", "d.csv.bin"]  # the old copy, now stale
+    assert_bitwise_equal(load_dataset(p), new)
+
+
+@pytest.mark.parametrize("features, labels, what", [
+    (np.empty((0, 3)), np.empty(0), "no data rows"),
+    (np.ones((4, 0)), np.arange(4), "line 2: bad feature value ''"),
+    (np.array([[1.0, np.inf]]), np.zeros(1), "line 2: non-finite feature value"),
+])
+def test_table_the_parse_rejects_gets_no_copy(tmp_path, features, labels, what):
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset(features, labels), p)
+    assert sorted(files(tmp_path)) == ["d.csv"]
+    with pytest.raises(DatasetFormatError, match=what):
+        load_dataset(p)
 
 
 def test_load_errors_name_the_line(tmp_path):
@@ -190,6 +238,10 @@ def test_load_errors_name_the_line(tmp_path):
     for header in ("nope,f0", "labels,f0", "label_id,f0", " label,f0"):
         p.write_text(f"{header}\n0,1.0\n")
         with pytest.raises(DatasetFormatError, match="line 1"):
+            load_dataset(p, "x")
+    for raw, no in ((b"label,f0\n1,0.5\xff\n", 2), (b"label,f0\n1,\xc3\xa9\n\n\xff,1\n", 4)):
+        p.write_bytes(raw)
+        with pytest.raises(DatasetFormatError, match=f"bad.csv: line {no}: byte 0xff is not UTF-8"):
             load_dataset(p, "x")
     p.write_text("label,f0\n")
     with pytest.raises(DatasetFormatError, match="no data rows"):
