@@ -15,7 +15,9 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .autodiff import Array
 # Independent sub-streams of the dataset seed.
 _CENTER_STREAM = 11
 _SAMPLE_STREAM = 12
+
+# Bytes of draws and replay temporaries per `draw_episodes` chunk; 1 MiB drew no faster.
+DRAW_CHUNK_BYTES = 1 << 19
 
 
 class DatasetFormatError(ValueError):
@@ -243,6 +248,23 @@ def remove_dataset(path) -> None:
     _copy_path(path).unlink(missing_ok=True)
 
 
+def _read_npy(f, dtype) -> Array:
+    """The next array `np.save` wrote to `f`, read into one buffer of its own.
+
+    Anything but a C-order version 1.0 array of `dtype` with all its bytes
+    present is an error, so the caller parses the CSV instead.
+    """
+    if np.lib.format.read_magic(f) != (1, 0):
+        raise ValueError("not a version 1.0 .npy array")
+    shape, fortran_order, stored = np.lib.format.read_array_header_1_0(f)
+    if fortran_order or stored != dtype:
+        raise ValueError(f"copy holds {stored} in {'F' if fortran_order else 'C'} order")
+    out = np.empty(shape, dtype)
+    if f.readinto(out.data) != out.nbytes:
+        raise EOFError("copy ends inside an array")
+    return out
+
+
 def load_dataset(path, split_name: str | None = None) -> Dataset:
     """Read a `label,f0,f1,...` table: a decimal-integer label, then finite floats.
 
@@ -260,9 +282,8 @@ def load_dataset(path, split_name: str | None = None) -> Dataset:
     try:  # opening the copy comes first, so a table with none costs no hash
         with open(_copy_path(path), "rb") as f:
             if f.read(32) == hashlib.sha256(raw).digest():
-                labels = np.load(f, allow_pickle=False)
-                features = np.load(f, allow_pickle=False)
-                return Dataset(features.copy(), labels.copy(), split_name or path.stem)
+                labels = _read_npy(f, np.int64)
+                return Dataset(_read_npy(f, np.float64), labels, split_name or path.stem)
     except (OSError, ValueError, EOFError):
         pass  # no copy, or a truncated or unreadable one: parse the CSV
     try:
@@ -335,6 +356,68 @@ def _row_error(path: Path, lines, width: int) -> DatasetFormatError | None:
     return None
 
 
+def draw_episodes(
+    dataset: Dataset, spec: EpisodeSpec, rngs: Iterable[np.random.Generator]
+) -> tuple[Array, Array]:
+    """Class ids (n, ways) and rows (n, ways, shots + queries) of an episode per generator.
+
+    Episode i is `draw_episode_rows`' draw from generator i, bit for bit, and
+    leaves it in the same state: pass one generator n times for its next n.
+    """
+    ways, need = spec.ways, spec.shots + spec.queries
+    if dataset.n_classes < ways:
+        raise ValueError(f"dataset '{dataset.split_name}' has {dataset.n_classes} classes; "
+                         f"episode needs {ways}")
+    counts = np.array([idx.size for idx in dataset.class_index.values()])
+    rows, starts = np.concatenate(list(dataset.class_index.values())), np.cumsum(counts) - counts
+    # An episode is a class choice, then one `integers` call of every draw its row
+    # choices make; row k bounds those of `choice(counts[k], need)`.  Floyd's branch
+    # draws in [0, count - need + t] for t < need, then in [0, i] for i = need - 1
+    # ... 1; the tail branch in [0, i] for i = count - 1 ... count - need.  A bound
+    # of 0 draws nothing: it pads shorter rows, and empties a class too small.
+    t, n = np.arange(2 * need - 1), counts[:, None]
+    bounds = (n >= need) * np.where(
+        (n <= 10000) | (need <= n // 50), np.where(t < need, n - need + t, 2 * need - 1 - t),
+        np.where(t < need, n - 1 - t, 0))
+    rngs, chosen = iter(rngs), [np.empty((0, ways), dtype=np.int64)]
+    picks = [np.empty((0, ways, need), dtype=np.int64)]
+    while batch := list(islice(rngs, max(1, DRAW_CHUNK_BYTES // (60 * ways * need)))):
+        pos, draws = np.empty((len(batch), ways), dtype=np.int64), []
+        for i, rng in enumerate(batch):
+            pos[i] = rng.choice(len(counts), size=ways, replace=False)
+            draws.append(rng.integers(0, bounds[pos[i]], endpoint=True))
+        if (short := counts[pos] < need).any():
+            c = pos.flat[short.argmax()]
+            raise ValueError(f"class {dataset.class_ids[c]} has {counts[c]} rows; "
+                             f"episode needs {need}")
+        local = _replay_choice(np.concatenate(draws), counts[pos].ravel(), need)
+        chosen.append(dataset.class_ids[pos])
+        picks.append(rows[starts[pos][..., None] + local.reshape(*pos.shape, need)])
+    return np.concatenate(chosen), np.concatenate(picks)
+
+
+def _replay_choice(draws: Array, pop: Array, size: int) -> Array:
+    """Row k: `Generator.choice(pop[k], size, replace=False)`, replayed from row k of `draws`.
+
+    numpy's algorithm, each step made for all rows at once (held transposed).
+    Floyd's step t keeps its draw unless an earlier step kept that value, and
+    then keeps pop - size + t; a Fisher-Yates shuffle follows.
+    """
+    picked, every = draws[:, :size].T.copy(), np.arange(len(pop))
+    for t in range(1, size):  # row t holds step t's draw until the step replaces it
+        picked[t] = np.where((picked[:t] == picked[t]).any(axis=0), pop - size + t, picked[t])
+    for i, x in zip(range(size - 1, 0, -1), draws[:, size:].T):
+        top = picked[i].copy()  # swap entry i of each column with its entry x
+        picked[i] = picked[x, every]
+        picked[x, every] = top
+    for k in np.flatnonzero((pop > 10000) & (size > pop // 50)):  # the tail branch
+        perm = list(range(pop[k]))
+        for i, x in zip(range(pop[k] - 1, pop[k] - size - 1, -1), draws[k].tolist()):
+            perm[i], perm[x] = perm[x], perm[i]
+        picked[:, k] = perm[-size:]
+    return picked.T
+
+
 def draw_episode_rows(
     dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
 ) -> tuple[Array, Array]:
@@ -343,21 +426,8 @@ def draw_episode_rows(
     Returns the class ids and a (ways, shots + queries) array of row
     indices: class k's support rows, then its query rows, in row k.
     """
-    classes = dataset.class_ids
-    if classes.size < spec.ways:
-        raise ValueError(
-            f"dataset '{dataset.split_name}' has {classes.size} classes; "
-            f"episode needs {spec.ways}"
-        )
-    chosen = rng.choice(classes, size=spec.ways, replace=False)
-    need = spec.shots + spec.queries
-    picks = np.empty((spec.ways, need), dtype=np.int64)
-    for k, cid in enumerate(chosen.tolist()):
-        rows = dataset.class_index[cid]
-        if rows.size < need:
-            raise ValueError(f"class {cid} has {rows.size} rows; episode needs {need}")
-        picks[k] = rng.choice(rows, size=need, replace=False)
-    return chosen, picks
+    chosen, picks = draw_episodes(dataset, spec, [rng])
+    return chosen[0], picks[0]
 
 
 def eval_episode_rows(dataset: Dataset, spec: EpisodeSpec, n: int, seed: int) -> Array:
@@ -371,23 +441,24 @@ def eval_episode_rows(dataset: Dataset, spec: EpisodeSpec, n: int, seed: int) ->
     key = (spec, n, seed)
     picks = dataset._eval_rows.get(key)
     if picks is None:
-        picks = np.empty((n, spec.ways, spec.shots + spec.queries), dtype=np.int64)
-        for i in range(n):
-            picks[i] = draw_episode_rows(dataset, spec, np.random.default_rng([seed, i]))[1]
+        rngs = (np.random.default_rng([seed, i]) for i in range(n))
+        picks = draw_episodes(dataset, spec, rngs)[1]
         picks.flags.writeable = False
         dataset._eval_rows[key] = picks
     return picks
 
 
-def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
-    """`draw_episode_rows`' draw, with the drawn inputs and local labels gathered."""
-    chosen, picks = draw_episode_rows(dataset, spec, rng)
+def gather_episode(dataset: Dataset, spec: EpisodeSpec, chosen: Array, picks: Array) -> Episode:
+    """The episode of one draw: its inputs, support rows first, and local labels."""
     rows = np.concatenate((picks[:, :spec.shots].ravel(), picks[:, spec.shots:].ravel()))
     local = np.arange(spec.ways, dtype=np.int64)
-    return Episode(
-        dataset.features[rows], np.repeat(local, spec.shots), np.repeat(local, spec.queries),
-        tuple(chosen.tolist()), rows,
-    )
+    return Episode(dataset.features[rows], np.repeat(local, spec.shots),
+                   np.repeat(local, spec.queries), tuple(chosen.tolist()), rows)
+
+
+def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
+    """`draw_episode_rows`' draw, with the drawn inputs and local labels gathered."""
+    return gather_episode(dataset, spec, *draw_episode_rows(dataset, spec, rng))
 
 
 def sample_anchor_subset(n: int, k: int, rng: np.random.Generator) -> Array:

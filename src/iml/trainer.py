@@ -18,8 +18,8 @@ import numpy as np
 from .anchorstore import extract_anchors
 from .autodiff import Array, Tape, Tensor
 from .data import (
-    Dataset, Episode, EpisodeSpec, draw_episode_rows, reserve_exemplars, sample_anchor_subset,
-    sample_episode, write_text_atomic,
+    Dataset, Episode, EpisodeSpec, draw_episodes, gather_episode, reserve_exemplars,
+    sample_anchor_subset, write_text_atomic,
 )
 from .losses import (
     KL_ORDERS, MethodKind, align_weights, incremental_objective, meta_xent_loss,
@@ -188,8 +188,7 @@ def _validate(
 ) -> tuple[float, float]:
     """Mean meta loss and accuracy over validation episodes, from one embedding of `val_ds`."""
     rng = np.random.default_rng([cfg.seed, _VAL_STREAM, round_index, epoch])
-    picks = np.stack([draw_episode_rows(val_ds, cfg.episode, rng)[1]
-                      for _ in range(cfg.val_episodes)])
+    picks = draw_episodes(val_ds, cfg.episode, [rng] * cfg.val_episodes)[1]
     z = embed(params, val_ds.features).data
     accs, losses = score_episodes(z, picks, cfg.episode.shots, cfg.temperature)
     return float(np.mean(losses)), float(np.mean(accs))
@@ -240,8 +239,8 @@ def _fit(
     log = _EpochLog(cfg.log_path)
     for epoch in range(cfg.epochs):
         ep_losses, ep_accs = [], []
-        for task in range(cfg.tasks_per_epoch):
-            ep = sample_episode(train_ds, cfg.episode, epi_rng)
+        drawn = zip(*draw_episodes(train_ds, cfg.episode, [epi_rng] * cfg.tasks_per_epoch))
+        for task, ep in enumerate(gather_episode(train_ds, cfg.episode, *d) for d in drawn):
             tape = Tape()
             bound = params.bind(tape)
             loss, sqdists = objective(bound, ep)
@@ -329,6 +328,10 @@ def train_incremental(
     # each table once per round and gather every step's rows from it.
     teacher_z = embed(old.params, new_ds.features).data if need_align else None
     exemplar_teacher_z = embed(old.params, exemplars.features).data if use_exemplars else None
+    # one exemplar episode per step, drawn an epoch at a time
+    ex_episodes = (gather_episode(exemplars, exemplar_spec, *d) for _ in range(cfg.epochs)
+                   for d in zip(*draw_episodes(exemplars, exemplar_spec,
+                                               [ex_rng] * cfg.tasks_per_epoch)))
 
     def objective(bound, ep):
         teacher = {}
@@ -337,7 +340,7 @@ def train_incremental(
             if method is MethodKind.IDA:
                 teacher["anchors"] = centers[sample_anchor_subset(len(centers), k, anchor_rng)]
             elif method is MethodKind.EIML:
-                ex = sample_episode(exemplars, exemplar_spec, ex_rng)
+                ex = next(ex_episodes)
                 teacher.update(anchors=centers[[row_of[c] for c in ex.class_map]],
                                exemplar_episode=ex, exemplar_teacher_z=exemplar_teacher_z[ex.rows])
         br = incremental_objective(method, bound, ep, cfg.lam, cfg.temperature, cfg.kl_order,

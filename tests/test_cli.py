@@ -1,3 +1,4 @@
+import io
 import os
 from pathlib import Path
 
@@ -334,10 +335,24 @@ def test_edited_table_is_parsed_past_its_stale_copy(gen_tables):
         assert_same_table(after, before)
 
 
+def relaid(copy: bytes, change) -> bytes:
+    """`copy` with its digest, and its arrays saved again as `change(labels, features)`."""
+    f, out = io.BytesIO(copy[32:]), io.BytesIO()
+    out.write(copy[:32])
+    for array in change(np.load(f), np.load(f)):
+        np.save(out, array)
+    assert out.getvalue()[:32] == copy[:32]
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("damage", [
     lambda b: b[:-1], lambda b: b[:32], lambda b: b[:100], lambda b: b"",
     lambda b: bytes([b[0] ^ 1]) + b[1:],
-], ids=["last-byte-cut", "digest-only", "header-cut", "empty", "digest-altered"])
+    lambda b: relaid(b, lambda labels, features: (labels.astype(np.int32), features)),
+    lambda b: relaid(b, lambda labels, features: (labels, features.astype(np.float32))),
+    lambda b: relaid(b, lambda labels, features: (labels, np.asfortranarray(features))),
+], ids=["last-byte-cut", "digest-only", "header-cut", "empty", "digest-altered",
+        "int32-labels", "float32-features", "fortran-order"])
 def test_damaged_copy_falls_back_to_the_parse(gen_tables, monkeypatch, damage):
     for role in ROLES:
         csv, copy = gen_tables / f"{role}.csv", gen_tables / f"{role}.csv.bin"

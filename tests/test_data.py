@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import iml.data
 from iml.data import (
     Dataset,
     DatasetFormatError,
@@ -14,6 +15,7 @@ from iml.data import (
     class_centers,
     concat_datasets,
     draw_episode_rows,
+    draw_episodes,
     eval_episode_rows,
     gen_synthetic,
     load_dataset,
@@ -419,15 +421,40 @@ def uneven_dataset():
     return Dataset(rng.standard_normal((labels.size, 2)), labels, "uneven")
 
 
+def exact_dataset():
+    """Six classes of exactly 8 rows: every row of a drawn class is in the episode."""
+    return gen_synthetic(small_spec(classes_per_domain=3, samples_per_class=8))
+
+
+def two_classes(rows):
+    """Two classes of `rows` rows each, for numpy's choice branches on large classes."""
+    labels = np.repeat([3, 8], rows)
+    return Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, "large")
+
+
+def choice_draw(ds, spec, rng):
+    """The oracle: one `rng.choice` of the classes, then one per drawn class of its rows."""
+    chosen = rng.choice(ds.class_ids, size=spec.ways, replace=False)
+    need = spec.shots + spec.queries
+    return chosen, np.stack([rng.choice(ds.class_index[int(c)], size=need, replace=False)
+                             for c in chosen])
+
+
 @pytest.mark.parametrize("make,spec", [
     (lambda: gen_synthetic(small_spec()), EpisodeSpec(2, 1, 1)),
     (lambda: gen_synthetic(small_spec()), EpisodeSpec(5, 5, 15)),
     (lambda: gen_synthetic(small_spec(classes_per_domain=12)), EpisodeSpec(20, 1, 15)),
     (uneven_dataset, EpisodeSpec(6, 3, 5)),
-], ids=["2w1s", "5w5s", "20w1s", "uneven"])
+    (exact_dataset, EpisodeSpec(3, 3, 5)),
+    # choice(pop, size) takes Floyd's branch when pop <= 10,000 or size <= pop // 50, else the tail
+    (lambda: two_classes(10_001), EpisodeSpec(2, 1, 200)),
+    (lambda: two_classes(10_000), EpisodeSpec(2, 1, 200)),
+    (lambda: two_classes(10_001), EpisodeSpec(2, 1, 199)),
+], ids=["2w1s", "5w5s", "20w1s", "uneven", "exact", "tail", "floyd-10000", "floyd-50th"])
 def test_draw_episode_rows_is_sample_episode_draw(make, spec):
     ds = make()
-    for seed in range(6):
+    seeds = range(1) if ds.split_name == "large" else range(6)
+    for seed in seeds:
         for i in range(8):
             a, b, c = (np.random.default_rng([seed, i]) for _ in range(3))
             chosen, picks = draw_episode_rows(ds, spec, a)
@@ -440,23 +467,74 @@ def test_draw_episode_rows_is_sample_episode_draw(make, spec):
             assert np.array_equal(ep.inputs, ds.features[ep.rows])
             assert np.array_equal(ds.labels[picks], np.repeat(chosen[:, None], picks.shape[1], 1))
             # the rows of one class choice, then one row choice per class
-            want = c.choice(ds.class_ids, size=spec.ways, replace=False)
-            assert np.array_equal(chosen, want)
-            for k, cid in enumerate(want):
-                rows = c.choice(ds.class_index[int(cid)], size=picks.shape[1], replace=False)
-                assert np.array_equal(picks[k], rows)
+            want_chosen, want_picks = choice_draw(ds, spec, c)
+            assert np.array_equal(chosen, want_chosen)
+            assert np.array_equal(picks, want_picks)
             # all three made the same draws: the generators stand at the same state
             assert a.random() == b.random() == c.random()
+        # a batch from one generator is that generator's next 7 draws
+        a, c = np.random.default_rng([seed, 99]), np.random.default_rng([seed, 99])
+        chosen, picks = draw_episodes(ds, spec, [a] * 7)
+        want = [choice_draw(ds, spec, c) for _ in range(7)]
+        assert chosen.shape == (7, spec.ways) and picks.shape[:2] == (7, spec.ways)
+        assert np.array_equal(chosen, np.stack([w[0] for w in want]))
+        assert np.array_equal(picks, np.stack([w[1] for w in want]))
+        assert a.random() == c.random()
+        # a batch of one generator per episode is each one's draw
+        gens = [np.random.default_rng([seed, 7, i]) for i in range(5)]
+        oracles = [np.random.default_rng([seed, 7, i]) for i in range(5)]
+        chosen, picks = draw_episodes(ds, spec, iter(gens))
+        for k, (g, o) in enumerate(zip(gens, oracles)):
+            want_chosen, want_picks = choice_draw(ds, spec, o)
+            assert np.array_equal(chosen[k], want_chosen)
+            assert np.array_equal(picks[k], want_picks)
+            assert g.random() == o.random()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, iml.data.DRAW_CHUNK_BYTES], ids=["1", "default"])
+def test_draw_errors_name_the_first_short_class_drawn(monkeypatch, chunk_bytes):
+    """Both messages stay; the short class named is the first one in draw order."""
+    ds, spec = uneven_dataset(), EpisodeSpec(4, 10, 10)
+    with pytest.raises(ValueError, match=r"^dataset 'uneven' has 12 classes; episode needs 13$"):
+        draw_episodes(ds, EpisodeSpec(13, 1, 1), [np.random.default_rng(0)])
+    monkeypatch.setattr(iml.data, "DRAW_CHUNK_BYTES", chunk_bytes)  # 1: an episode per chunk
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):  # the oracle's first short class, in its first episode with one
+            chosen = oracle.choice(ds.class_ids, size=spec.ways, replace=False)
+            sizes = [ds.class_index[int(c)].size for c in chosen]
+            if min(sizes) < 20:
+                break
+            for c in chosen:
+                oracle.choice(ds.class_index[int(c)], size=20, replace=False)
+        first = next(c for c, n in zip(chosen, sizes) if n < 20)
+        msg = f"^class {first} has {ds.class_index[int(first)].size} rows; episode needs 20$"
+        with pytest.raises(ValueError, match=msg):
+            draw_episodes(ds, spec, [rng] * 50)
+
+
+def test_draw_episodes_is_the_same_in_any_chunking(monkeypatch):
+    """Chunks bound the working set only: any chunk size gives the same draws and states."""
+    ds, spec = uneven_dataset(), EpisodeSpec(5, 2, 3)
+    runs = []
+    for chunk_bytes in (1, 60 * 5 * 5 * 7, iml.data.DRAW_CHUNK_BYTES):  # 1, 7 and 30 per chunk
+        monkeypatch.setattr(iml.data, "DRAW_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(4)
+        runs.append((*draw_episodes(ds, spec, [rng] * 30), rng.random()))
+    for chosen, picks, after in runs[1:]:
+        assert np.array_equal(chosen, runs[0][0]) and np.array_equal(picks, runs[0][1])
+        assert after == runs[0][2]
 
 
 def oracle_eval_rows(ds, spec, n, seed):
-    return np.stack([draw_episode_rows(ds, spec, np.random.default_rng([seed, i]))[1]
+    return np.stack([choice_draw(ds, spec, np.random.default_rng([seed, i]))[1]
                      for i in range(n)])
 
 
 def test_eval_episode_rows_of_each_count_are_correct():
-    """n = 100 and n = 200 on one table each hold episodes 0..n-1 of their seed."""
+    """n = 100 and n = 200 on one table each hold episodes 0..n-1 of their seed; n = 0 none."""
     ds, spec = gen_synthetic(small_spec()), EpisodeSpec(5, 2, 3)
+    assert eval_episode_rows(ds, spec, 0, 4).shape == (0, 5, 5)
     short, long = eval_episode_rows(ds, spec, 100, 4), eval_episode_rows(ds, spec, 200, 4)
     assert short.shape == (100, 5, 5) and long.shape == (200, 5, 5)
     assert np.array_equal(short, oracle_eval_rows(ds, spec, 100, 4))

@@ -249,19 +249,20 @@ def fresh(ds):
 
 
 def test_evaluations_share_one_draw_per_split(monkeypatch, data):
-    """Six snapshots on three splits draw each split's n episodes once: 3 x n draws."""
+    """Six snapshots on three splits draw each split's n episodes once: 3 draws of n."""
     draws = []
-    real = iml.data.draw_episode_rows
+    real = iml.data.draw_episodes
 
-    def counting(*args):
-        draws.append(args[0].split_name)
-        return real(*args)
+    def counting(dataset, spec, rngs):
+        chosen, picks = real(dataset, spec, rngs)
+        draws.append((dataset, len(picks)))
+        return chosen, picks
 
-    monkeypatch.setattr(iml.data, "draw_episode_rows", counting)
+    monkeypatch.setattr(iml.data, "draw_episodes", counting)
     splits = [fresh(data[k]) for k in ("old_te", "new_te", "old_va")]
     snaps = [wide_snapshot(embed_dim=DIM, seed=s) for s in range(6)]
     reports = [evaluate(snap, ds, EpisodeSpec(3, 2, 4), 20, 8) for snap in snaps for ds in splits]
-    assert len(draws) == 3 * 20
+    assert [(id(ds), n) for ds, n in draws] == [(id(ds), 20) for ds in splits]
     assert len({(r.mean_acc, r.ci95) for r in reports}) > 3  # the snapshots do differ
 
 
