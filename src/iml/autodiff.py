@@ -8,11 +8,12 @@ list: node ids are list positions, so the list order *is* a topological
 order and :meth:`Tape.backward` is one reverse sweep.
 
 Each primitive op is a (forward, vjp) pair of pure functions registered
-in ``_OPS``; nodes store only the op name, input ids, which inputs are
-tape nodes (and so need a gradient), the output, static auxiliary data
-and, for ops that declare it, the forward's intermediates that the vjp
-reads instead of recomputing.  A vjp may return ``None`` for an input
-that needs no gradient.  Off the tape the intermediates are dropped.
+in ``_OPS``; nodes store only the op name, the operands and their node
+ids (``None`` for a constant, which needs no gradient), the output,
+static auxiliary data and, for ops that declare it, the forward's
+intermediates that the vjp reads instead of recomputing.  A vjp may
+return ``None`` for an input that needs no gradient.  Off the tape the
+intermediates are dropped.
 """
 from __future__ import annotations
 
@@ -67,13 +68,13 @@ def as_tensor(x) -> Tensor:
 
 @dataclass
 class Node:
-    """One tape record: which op ran, on which node ids, and what came out."""
+    """One tape record: which op ran, on which operands, and what came out."""
 
     op: str
-    inputs: tuple[int, ...]
+    inputs: tuple[int | None, ...]  # per operand: its node id, None for a constant
+    args: list[Array]  # the operand values
     value: Array
     aux: tuple = ()
-    needs: tuple[bool, ...] = ()  # per input: is it a tape node (not a constant)?
     saved: object = None  # forward intermediates the vjp reads (ops with `saves`)
 
 
@@ -99,12 +100,8 @@ class Tape:
 
     def leaf(self, value) -> Tensor:
         """Register a parameter whose gradient may be requested later."""
-        nid = self._push(Node("leaf", (), _as_array(value).copy()))
+        nid = self._push(Node("leaf", (), [], _as_array(value).copy()))
         return Tensor(self.nodes[nid].value, self, nid)
-
-    def const(self, value) -> int:
-        """Intern a constant operand as a terminal node."""
-        return self._push(Node("const", (), _as_array(value)))
 
     def backward(self, loss: Tensor, params: Sequence[int]) -> Gradients:
         """Reverse sweep from a scalar loss.
@@ -131,14 +128,13 @@ class Tape:
             if g is None:
                 continue
             node = self.nodes[nid]
-            if not node.inputs:  # leaf or const
+            if not node.inputs:  # leaf
                 continue
-            values = [self.nodes[i].value for i in node.inputs]
-            parts = _OPS[node.op].vjp(values, node.aux, node.value, node.saved, g, node.needs)
-            for i, need, part in zip(node.inputs, node.needs, parts):
-                # constants never have their gradient read; parts may alias
-                # each other (`add` returns [g, g]), so sum out of place
-                if need and part is not None:
+            needs = tuple(i is not None for i in node.inputs)
+            parts = _OPS[node.op].vjp(node.args, node.aux, node.value, node.saved, g, needs)
+            for i, part in zip(node.inputs, parts):
+                # parts may alias each other (`add` returns [g, g]), so sum out of place
+                if i is not None and part is not None:
                     grads[i] = part if grads[i] is None else grads[i] + part
         return {
             pid: (
@@ -159,16 +155,15 @@ def _apply(op: str, tensors: Sequence[Tensor], aux: tuple = ()) -> Tensor:
             elif tape is not t.tape:
                 raise ValueError("operands live on different tapes")
     spec = _OPS[op]
-    out = spec.fwd([t.data for t in tensors], aux)
+    args = [t.data for t in tensors]
+    out = spec.fwd(args, aux)
     saved = None
     if spec.saves:
         out, saved = out
     if tape is None:
         return Tensor(out)
-    needs = tuple(t.tape is tape and t.node is not None for t in tensors)
-    ids = tuple(t.node if need else tape.const(t.data) for t, need in zip(tensors, needs))
-    nid = tape._push(Node(op, ids, out, aux, needs, saved))
-    return Tensor(out, tape, nid)
+    ids = tuple(t.node if t.tape is tape else None for t in tensors)
+    return Tensor(out, tape, tape._push(Node(op, ids, args, out, aux, saved)))
 
 
 # ---------------------------------------------------------------------------

@@ -487,15 +487,17 @@ def cmd_eval(args, rc: RunConfig) -> int:
         raise ConfigError(
             "--label names a --snapshot report; a --method report is named after its method"
         )
-    if args.label and {os.sep, os.altsep, "/"} & set(args.label):
-        raise ConfigError(f"--label names a report file, so no path separator: {args.label!r}")
-    rp = _prepare(rc)
-    if args.snapshot:
+    snap, label = None, args.label or args.method
+    if label is None:  # a --snapshot report without --label is named after its stored method
         snap = load_snapshot(Path(args.snapshot))
-        label = args.label or snap.meta.method
-    else:
-        snap = load_snapshot(_snapshot_path(rp, args.method))
-        label = args.method
+        label = snap.meta.method
+    if {os.sep, os.altsep, "/"} & set(label):
+        source = "--label" if args.label else "the snapshot's stored method"
+        raise ConfigError(f"{source} names a report file, so no path separator: {label!r}")
+    rp = _prepare(rc)
+    if snap is None:
+        path = Path(args.snapshot) if args.snapshot else _snapshot_path(rp, args.method)
+        snap = load_snapshot(path)
     lines = [CSV_HEADER]
     for s in splits:
         ds = _load_role(rc, rp, f"{s}_test")

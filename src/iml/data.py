@@ -183,9 +183,7 @@ def class_centers(spec: SyntheticSpec) -> Array:
     return centers
 
 
-def gen_synthetic(
-    spec: SyntheticSpec, sample_seed: int = 0, split_name: str = "synthetic"
-) -> Dataset:
+def gen_synthetic(spec: SyntheticSpec, sample_seed: int = 0) -> Dataset:
     """Draw samples_per_class points around every center.
 
     `sample_seed` varies the draw while keeping the centers fixed, which is
@@ -197,7 +195,7 @@ def gen_synthetic(
     noise = rng.standard_normal((spec.n_classes, n, d)) * spec.cluster_std
     features = (centers[:, None, :] + noise).reshape(spec.n_classes * n, d)
     labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), n)
-    return Dataset(features, labels, split_name)
+    return Dataset(features, labels, "synthetic")
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -361,8 +359,10 @@ def draw_episodes(
 ) -> tuple[Array, Array]:
     """Class ids (n, ways) and rows (n, ways, shots + queries) of an episode per generator.
 
-    Episode i is `draw_episode_rows`' draw from generator i, bit for bit, and
-    leaves it in the same state: pass one generator n times for its next n.
+    Episode i is generator i's `choice` of ways classes, then its `choice`
+    of shots + queries rows of each (support rows first), all without
+    replacement, bit for bit; it leaves the generator in their state: pass
+    one generator n times for its next n.
     """
     ways, need = spec.ways, spec.shots + spec.queries
     if dataset.n_classes < ways:
@@ -418,22 +418,10 @@ def _replay_choice(draws: Array, pop: Array, size: int) -> Array:
     return picked.T
 
 
-def draw_episode_rows(
-    dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator
-) -> tuple[Array, Array]:
-    """Draw ways classes, then shots+queries rows per class, all without replacement.
-
-    Returns the class ids and a (ways, shots + queries) array of row
-    indices: class k's support rows, then its query rows, in row k.
-    """
-    chosen, picks = draw_episodes(dataset, spec, [rng])
-    return chosen[0], picks[0]
-
-
 def eval_episode_rows(dataset: Dataset, spec: EpisodeSpec, n: int, seed: int) -> Array:
     """The (n, ways, shots + queries) rows of evaluation episodes 0..n-1.
 
-    Episode i is `draw_episode_rows`' draw from the generator seeded by
+    Episode i is `draw_episodes`' draw from the generator seeded by
     (seed, i), so it depends on the table, spec, n and seed alone.  The
     array is drawn once per table and key, stored read-only, and shared by
     every later call.
@@ -457,8 +445,9 @@ def gather_episode(dataset: Dataset, spec: EpisodeSpec, chosen: Array, picks: Ar
 
 
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
-    """`draw_episode_rows`' draw, with the drawn inputs and local labels gathered."""
-    return gather_episode(dataset, spec, *draw_episode_rows(dataset, spec, rng))
+    """One episode of `draw_episodes` from ``rng``, with its inputs and local labels gathered."""
+    chosen, picks = draw_episodes(dataset, spec, [rng])
+    return gather_episode(dataset, spec, chosen[0], picks[0])
 
 
 def sample_anchor_subset(n: int, k: int, rng: np.random.Generator) -> Array:

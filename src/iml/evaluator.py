@@ -195,31 +195,23 @@ def sweep_exemplars(
 
 
 def cross_way_shot(
-    snapshots,
+    snapshots: list[ModelSnapshot],
     ways,
     shots,
     dataset: Dataset,
     n_episodes: int,
     seed: int,
     queries: int = 15,
-    labels: list[str] | None = None,
+    *,
+    labels: list[str],
 ) -> SweepTable:
-    """Evaluate snapshots across a grid of episode shapes.
+    """Evaluate snapshots across a grid of episode shapes, one label per snapshot.
 
     Each snapshot embeds the dataset once and scores every cell from it.
 
     The `ranges` attribute holds max-min of the mean accuracy across the
     snapshots for every (way, shot) cell.
     """
-    if isinstance(snapshots, ModelSnapshot):
-        snapshots = [snapshots]
-    if labels is None:
-        labels = []
-        for i, snap in enumerate(snapshots):
-            label = snap.meta.method
-            if label in labels:
-                label = f"{label}{i}"
-            labels.append(label)
     if len(labels) != len(snapshots):
         raise ValueError("need exactly one label per snapshot")
     rows = []

@@ -249,7 +249,7 @@ def score_episodes(
     """Per-episode accuracy, and meta loss at `temperature` if given, of drawn episodes.
 
     `picks` holds one episode per row, (n, ways, shots + queries) indices
-    into `z`, support rows first, as `data.draw_episode_rows` draws them;
+    into `z`, support rows first, as `data.draw_episodes` draws them;
     `z` embeds every row of their dataset.  Each episode scores bitwise as
     `score_episode` and `proto_xent` score it: accuracy alone goes through
     `nearest_prototypes`, the loss through `autodiff.prototype_distances`.

@@ -115,15 +115,8 @@ def init_optim(params: ParamStore, cfg: TrainConfig) -> OptimState:
     return OptimState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=cfg.lr)
 
 
-def adam_step(
-    params: ParamStore,
-    grad: Array,
-    state: OptimState,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update, in place on the live parameters.
+def adam_step(params: ParamStore, grad: Array, state: OptimState) -> None:
+    """One bias-corrected Adam update (beta1 0.9, beta2 0.999, eps 1e-8), in place.
 
     ``grad`` is laid out like ``params.flat``.  Adam is elementwise, so one
     pass over ``params.flat`` and the flat moments is bitwise the per-array
@@ -134,14 +127,14 @@ def adam_step(
     if not np.isfinite(grad).all():
         raise TrainingDivergenceError(f"non-finite gradient at optimizer step {state.step + 1}")
     state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    c1 = 1.0 - 0.9 ** state.step
+    c2 = 1.0 - 0.999 ** state.step
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
-    params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * (grad * grad)
+    params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def lr_schedule_update(state: OptimState, val_metric: float, cfg: TrainConfig) -> None:
@@ -359,24 +352,22 @@ def run_rounds(
     round_datasets: list[Dataset],
     method: MethodKind | str,
     cfg: TrainConfig,
-    round_vals: list[Dataset] | None = None,
+    round_vals: list[Dataset],
 ) -> list[ModelSnapshot]:
     """Chain incremental updates; each round's snapshot teaches the next.
 
-    Without explicit validation sets a round validates on its own data
-    (fresh episodes, metric only steers the lr schedule).  With a
-    `log_path`, round k (from 1) logs to its own file beside it,
-    `<stem>_r<k><suffix>`, as `iml rounds` names round k's snapshot.
+    Round k (from 1) trains on ``round_datasets[k - 1]`` and validates on
+    ``round_vals[k - 1]``.  With a `log_path`, round k logs to its own file
+    beside it, `<stem>_r<k><suffix>`, as `iml rounds` names round k's snapshot.
     """
     if not round_datasets:
         raise ValueError("need at least one round dataset")
-    if round_vals is not None and len(round_vals) != len(round_datasets):
+    if len(round_vals) != len(round_datasets):
         raise ValueError("need one validation dataset per round")
     snapshots: list[ModelSnapshot] = []
     teacher = base
     log = Path(cfg.log_path) if cfg.log_path else None
-    for k, ds in enumerate(round_datasets, 1):
-        val = round_vals[k - 1] if round_vals is not None else ds
+    for k, (ds, val) in enumerate(zip(round_datasets, round_vals), 1):
         round_cfg = replace(cfg, log_path=log and str(log.with_stem(f"{log.stem}_r{k}")))
         snap = train_incremental(teacher, ds, val, method, round_cfg)
         snapshots.append(snap)

@@ -50,19 +50,24 @@ EPISODE = EpisodeSpec(3, 2, 5)
 EVAL_EPISODES, EVAL_SEED = 40, 7
 
 
-def platform_key() -> dict[str, str]:
-    """The numpy version and the runtime OpenBLAS config (not numpy's build-time string)."""
-    blas = "unknown"
+def openblas_call(name: str, restype):
+    """Call numpy's bundled OpenBLAS function `scipy_openblas_<name>64_`; None if there is none."""
     libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
     for lib in sorted(glob.glob(libs)):
         try:
-            fn = ctypes.CDLL(lib).scipy_openblas_get_config64_
+            fn = getattr(ctypes.CDLL(lib), f"scipy_openblas_{name}64_")
         except (OSError, AttributeError):
             continue
-        fn.restype = ctypes.c_char_p
-        blas = fn().decode().strip()
-        break
-    return {"numpy": np.__version__, "openblas": blas}
+        fn.restype = restype
+        return fn()
+    return None
+
+
+def platform_key() -> dict[str, str]:
+    """The numpy version and the runtime OpenBLAS config (not numpy's build-time string)."""
+    config = openblas_call("get_config", ctypes.c_char_p)
+    return {"numpy": np.__version__,
+            "openblas": "unknown" if config is None else config.decode().strip()}
 
 
 def compute(workdir: Path) -> dict[str, str]:

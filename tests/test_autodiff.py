@@ -692,6 +692,7 @@ def test_off_tape_calls_keep_nothing():
     ad.mlp(z, tape.leaf(flat), layout)
     kept = [n.op for n in tape.nodes if n.saved is not None]
     assert kept == ["pairwise_sqdist", "kl_div_rows", "proto_sqdist", "proto_xent", "mlp"]
+    assert "const" not in [n.op for n in tape.nodes]
     assert len(tape.nodes[-1].saved) == 2  # the two hidden layers' outputs
     assert [n.op for n in tape.nodes].count("pairwise_sqdist") == 1
 
@@ -699,10 +700,13 @@ def test_off_tape_calls_keep_nothing():
 def test_tape_records_which_inputs_need_gradients():
     tape = ad.Tape()
     layout, size = mlp_layout((2, 3))
-    out = ad.mlp(np.ones((4, 2)), tape.leaf(np.ones(size)), layout)
-    node = tape.nodes[out.node]
-    assert node.needs == (False, True)
-    assert [tape.nodes[i].op for i in node.inputs] == ["const", "leaf"]
+    x = np.ones((4, 2))
+    flat = tape.leaf(np.ones(size))
+    node = tape.nodes[ad.mlp(x, flat, layout).node]
+    # the constant gets no node: its id is None, and the node keeps its array
+    assert node.inputs == (None, flat.node)
+    assert node.args[0] is x and node.args[1] is flat.data
+    assert [n.op for n in tape.nodes] == ["leaf", "mlp"]
 
 
 def test_backward_sums_aliased_parts_out_of_place():

@@ -501,6 +501,28 @@ def test_eval_rejects_label_with_path_separator(tiny_cfg, tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_eval_rejects_stored_method_with_path_separator(tiny_cfg, tmp_path, capsys, monkeypatch):
+    """Without --label the report is named after the snapshot's method, so that is checked too."""
+    out = tmp_path / "run"
+    assert cmd_dispatch(["gen-data", "-c", tiny_cfg, "--out", str(out)]) == 0
+    (out / "reports" / "eval_x").mkdir(parents=True)  # lets eval_x/../../escaped.csv resolve
+    snap = freeze_snapshot(init_backbone(BackboneConfig(6, (4,), 2), 0),
+                           AnchorSet((), np.zeros((0, 2))), SnapshotMeta(0, 0, "x/../../escaped"))
+    path = tmp_path / "odd.imlsnap"
+    save_snapshot(snap, str(path))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before rejecting the label")
+
+    monkeypatch.setattr(iml.cli, "evaluate", refuse)
+    capsys.readouterr()
+    code = cmd_dispatch(["eval", "--snapshot", str(path), "-c", tiny_cfg, "--out", str(out)])
+    assert code == 1
+    assert "the snapshot's stored method names a report file" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_eval_rejects_label_with_method(tiny_cfg, tmp_path, capsys, monkeypatch):
     no_snapshot_loads(monkeypatch)
     out = tmp_path / "run"

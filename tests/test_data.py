@@ -14,7 +14,6 @@ from iml.data import (
     SyntheticSpec,
     class_centers,
     concat_datasets,
-    draw_episode_rows,
     draw_episodes,
     eval_episode_rows,
     gen_synthetic,
@@ -452,12 +451,13 @@ def choice_draw(ds, spec, rng):
     (lambda: two_classes(10_001), EpisodeSpec(2, 1, 199)),
 ], ids=["2w1s", "5w5s", "20w1s", "uneven", "exact", "tail", "floyd-10000", "floyd-50th"])
 def test_draw_episode_rows_is_sample_episode_draw(make, spec):
+    """`draw_episodes` with one generator draws `sample_episode`'s episode and `choice`'s rows."""
     ds = make()
     seeds = range(1) if ds.split_name == "large" else range(6)
     for seed in seeds:
         for i in range(8):
             a, b, c = (np.random.default_rng([seed, i]) for _ in range(3))
-            chosen, picks = draw_episode_rows(ds, spec, a)
+            (chosen,), (picks,) = draw_episodes(ds, spec, [a])
             ep = sample_episode(ds, spec, b)
             assert chosen.dtype == picks.dtype == np.int64
             assert picks.shape == (spec.ways, spec.shots + spec.queries)

@@ -291,7 +291,7 @@ def test_cross_way_shot_embeds_each_snapshot_once(monkeypatch):
 
     ds, snaps = grid_data(), [wide_snapshot(seed=s) for s in (5, 6, 7)]
     monkeypatch.setattr(iml.evaluator, "embed", counting)
-    table = cross_way_shot(snaps, [5, 10], [1, 5], ds, 12, 0)
+    table = cross_way_shot(snaps, [5, 10], [1, 5], ds, 12, 0, labels=["a", "b", "c"])
     assert embedded == [len(ds)] * len(snaps)
     monkeypatch.undo()
     cells = [(snap, (way, shot)) for snap in snaps for way in (5, 10) for shot in (1, 5)]
@@ -485,8 +485,8 @@ def test_sweep_exemplars_budget_changes_model(base_snap, data):
 
 
 def test_cross_way_shot_grid(base_snap, data):
-    table = cross_way_shot(base_snap, [2, 3], [1, 2], data["old_te"], 10, 0,
-                           queries=4)
+    table = cross_way_shot([base_snap], [2, 3], [1, 2], data["old_te"], 10, 0,
+                           queries=4, labels=["base"])
     assert table.axis == "way_shot"
     assert [r.axis_value for r in table.rows] == [(2, 1), (2, 2), (3, 1), (3, 2)]
     assert all(r.label == "base" for r in table.rows)
@@ -501,16 +501,9 @@ def test_cross_way_shot_range_tracks_spread(base_snap, data):
     ft = train_incremental(base_snap, data["new_tr"], data["new_va"],
                            MethodKind.FT, quick_cfg())
     table = cross_way_shot([base_snap, ft], [3], [2], data["new_te"], 20, 0,
-                           queries=4)
+                           queries=4, labels=["base", "ft"])
     means = [r.report.mean_acc for r in table.rows]
     assert table.ranges[(3, 2)] == max(means) - min(means)
-
-
-def test_cross_way_shot_duplicate_labels_get_suffix(base_snap, data):
-    # two snapshots trained the same way must not collide in the table
-    table = cross_way_shot([base_snap, base_snap], [2], [1], data["old_te"],
-                           3, 0, queries=2)
-    assert [r.label for r in table.rows] == ["base", "base1"]
 
 
 def test_cross_way_shot_label_count_checked(base_snap, data):
@@ -526,14 +519,14 @@ def test_cross_way_shot_explicit_labels(base_snap, data):
 
 
 def test_cross_way_shot_cell_matches_direct_evaluate(base_snap, data):
-    table = cross_way_shot(base_snap, [3], [2], data["old_te"], 15, 6,
-                           queries=4)
+    table = cross_way_shot([base_snap], [3], [2], data["old_te"], 15, 6,
+                           queries=4, labels=["base"])
     direct = evaluate(base_snap, data["old_te"], EpisodeSpec(3, 2, 4), 15, 6)
     assert table.rows[0].report == direct
 
 
 def test_more_ways_is_harder(base_snap, data):
-    table = cross_way_shot(base_snap, [2, 5], [2], data["old_te"], 40, 0,
-                           queries=4)
+    table = cross_way_shot([base_snap], [2, 5], [2], data["old_te"], 40, 0,
+                           queries=4, labels=["base"])
     by_ways = {r.axis_value[0]: r.report.mean_acc for r in table.rows}
     assert by_ways[2] >= by_ways[5]

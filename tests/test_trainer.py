@@ -438,7 +438,7 @@ def test_tape_nodes_per_step_pinned(monkeypatch):
     for method in (MethodKind.FT, MethodKind.DFA, MethodKind.IDA, MethodKind.EIML):
         train_incremental(base, new_tr, new_va, method, cfg, exemplars=ex)
     iml.trainer.train_paragon(old_tr, old_va, cfg)
-    assert counts == [5, 5, 12, 14, 24, 5]  # base, ft, dfa, ida, eiml, par
+    assert counts == [4, 4, 10, 11, 19, 4]  # base, ft, dfa, ida, eiml, par
 
 
 def test_incremental_rejects_anchorless_teacher_before_logging(tmp_path):
@@ -565,7 +565,7 @@ def test_teacher_embedded_once_per_round_per_table(monkeypatch):
 
     monkeypatch.setattr(iml.trainer, "train_incremental", remember_teacher)
     calls.clear()
-    chain = run_rounds(base, rounds, MethodKind.IDA, small_cfg())
+    chain = run_rounds(base, rounds, MethodKind.IDA, small_cfg(), round_vals=rounds)
     assert calls == [base.params, chain[0].params]
 
 
@@ -693,10 +693,10 @@ def test_run_rounds_logs_each_round(tmp_path):
 
 
 def test_run_rounds_rejects_nu():
-    old_tr, old_va, new_tr, _ = domain_data()
+    old_tr, old_va, new_tr, new_va = domain_data()
     base = train_base(old_tr, old_va, small_cfg())
     with pytest.raises(ValueError):
-        run_rounds(base, [new_tr], MethodKind.NU, small_cfg())
+        run_rounds(base, [new_tr], MethodKind.NU, small_cfg(), round_vals=[new_va])
 
 
 def test_kl_order_changes_trajectory():
